@@ -27,6 +27,9 @@ using util::check;
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
+/// Minimum entries per chunk of the constructor's Top-K plane fill (64 KB
+/// of each float plane).
+constexpr std::size_t kPlaneFillGrain = std::size_t{1} << 14;
 
 /// Registered-once handles for the engine's hot-path counters. With
 /// telemetry compiled out every handle is an empty no-op stub.
@@ -191,17 +194,40 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
   }
   corner_stride_ = num_pins_ * 2 * tk_stride_;
   const std::size_t planes = C_ * corner_stride_;
-  tk_arr_.assign(planes, 0.0f);
-  tk_mu_.assign(planes, 0.0f);
-  tk_sig_.assign(planes, 0.0f);
-  tk_sp_.assign(planes, -1);
+  const bool hold = options_.enable_hold;
+  tk_arr_.resize(planes);
+  tk_mu_.resize(planes);
+  tk_sig_.resize(planes);
+  tk_sp_.resize(planes);
   tk_cnt_.assign(C_ * num_pins_ * 2, 0);
-  if (options_.enable_hold) {
-    tk2_arr_.assign(planes, 0.0f);
-    tk2_mu_.assign(planes, 0.0f);
-    tk2_sig_.assign(planes, 0.0f);
-    tk2_sp_.assign(planes, -1);
+  if (hold) {
+    tk2_arr_.resize(planes);
+    tk2_mu_.resize(planes);
+    tk2_sig_.resize(planes);
+    tk2_sp_.resize(planes);
     tk2_cnt_.assign(C_ * num_pins_ * 2, 0);
+  }
+  // First touch of the entry planes is page-fault bound, so it runs on the
+  // pool. Every byte gets the same fill value whatever the schedule: lanes
+  // past a list's count stay deterministic, and so do export_state images.
+  const auto fill = [this, hold](std::size_t lo, std::size_t hi) {
+    const std::size_t n = hi - lo;
+    std::fill_n(tk_arr_.data() + lo, n, 0.0f);
+    std::fill_n(tk_mu_.data() + lo, n, 0.0f);
+    std::fill_n(tk_sig_.data() + lo, n, 0.0f);
+    std::fill_n(tk_sp_.data() + lo, n, -1);
+    if (hold) {
+      std::fill_n(tk2_arr_.data() + lo, n, 0.0f);
+      std::fill_n(tk2_mu_.data() + lo, n, 0.0f);
+      std::fill_n(tk2_sig_.data() + lo, n, 0.0f);
+      std::fill_n(tk2_sp_.data() + lo, n, -1);
+    }
+  };
+  if (options_.parallel) {
+    util::ThreadPool::global().parallel_for_chunks(std::size_t{0}, planes, fill,
+                                                   kPlaneFillGrain);
+  } else {
+    fill(0, planes);
   }
 
   const std::size_t slots = num_slots_;
@@ -838,15 +864,15 @@ EngineState Engine::export_state() const {
   s.asig = asig_;
   s.sp_mu = sp_mu_;
   s.sp_sig = sp_sig_;
-  s.tk_arr = tk_arr_;
-  s.tk_mu = tk_mu_;
-  s.tk_sig = tk_sig_;
-  s.tk_sp = tk_sp_;
+  s.tk_arr.assign(tk_arr_.begin(), tk_arr_.end());
+  s.tk_mu.assign(tk_mu_.begin(), tk_mu_.end());
+  s.tk_sig.assign(tk_sig_.begin(), tk_sig_.end());
+  s.tk_sp.assign(tk_sp_.begin(), tk_sp_.end());
   s.tk_cnt = tk_cnt_;
-  s.tk2_arr = tk2_arr_;
-  s.tk2_mu = tk2_mu_;
-  s.tk2_sig = tk2_sig_;
-  s.tk2_sp = tk2_sp_;
+  s.tk2_arr.assign(tk2_arr_.begin(), tk2_arr_.end());
+  s.tk2_mu.assign(tk2_mu_.begin(), tk2_mu_.end());
+  s.tk2_sig.assign(tk2_sig_.begin(), tk2_sig_.end());
+  s.tk2_sp.assign(tk2_sp_.begin(), tk2_sp_.end());
   s.tk2_cnt = tk2_cnt_;
   s.slack = slack_;
   s.hold_slack = hold_slack_;
@@ -942,15 +968,15 @@ void Engine::import_state(const EngineState& s) {
   asig_ = s.asig;
   sp_mu_ = s.sp_mu;
   sp_sig_ = s.sp_sig;
-  tk_arr_ = s.tk_arr;
-  tk_mu_ = s.tk_mu;
-  tk_sig_ = s.tk_sig;
-  tk_sp_ = s.tk_sp;
+  tk_arr_.assign(s.tk_arr.begin(), s.tk_arr.end());
+  tk_mu_.assign(s.tk_mu.begin(), s.tk_mu.end());
+  tk_sig_.assign(s.tk_sig.begin(), s.tk_sig.end());
+  tk_sp_.assign(s.tk_sp.begin(), s.tk_sp.end());
   tk_cnt_ = s.tk_cnt;
-  tk2_arr_ = s.tk2_arr;
-  tk2_mu_ = s.tk2_mu;
-  tk2_sig_ = s.tk2_sig;
-  tk2_sp_ = s.tk2_sp;
+  tk2_arr_.assign(s.tk2_arr.begin(), s.tk2_arr.end());
+  tk2_mu_.assign(s.tk2_mu.begin(), s.tk2_mu.end());
+  tk2_sig_.assign(s.tk2_sig.begin(), s.tk2_sig.end());
+  tk2_sp_.assign(s.tk2_sp.begin(), s.tk2_sp.end());
   tk2_cnt_ = s.tk2_cnt;
   slack_ = s.slack;
   hold_slack_ = s.hold_slack;

@@ -16,6 +16,7 @@
 #include "timing/constraints.hpp"
 #include "timing/graph.hpp"
 #include "timing/types.hpp"
+#include "util/memory.hpp"
 #include "util/simd.hpp"
 
 namespace insta::analysis {
@@ -803,22 +804,26 @@ class Engine {
   // capacity top_k inside a tk_stride_-sized run, runs ordered by tk_pos_
   // (level order) — so a (corner, level) pair's stores are one contiguous
   // streamable block per plane and the PR 8 kernels run unchanged off a
-  // corner-offset base pointer.
+  // corner-offset base pointer. The entry planes are the bulk of the
+  // image; they are allocated without value-initialization and written
+  // once by the constructor, in parallel (DESIGN.md §14).
+  template <typename T>
+  using TopKPlane = std::vector<T, util::DefaultInitAllocator<T>>;
   std::vector<std::int32_t> tk_pos_;  // per pin: position in level order
   std::size_t tk_stride_ = 0;         // top_k rounded up to 8 (lane width)
   std::size_t corner_stride_ = 0;     // num_pins * 2 * tk_stride_
-  std::vector<float> tk_arr_;
-  std::vector<float> tk_mu_;
-  std::vector<float> tk_sig_;
-  std::vector<std::int32_t> tk_sp_;
+  TopKPlane<float> tk_arr_;
+  TopKPlane<float> tk_mu_;
+  TopKPlane<float> tk_sig_;
+  TopKPlane<std::int32_t> tk_sp_;
   std::vector<std::int32_t> tk_cnt_;  // per corner*(position*2 + rf)
 
   // Early (min-mode) Top-K stores; tk2_arr_ holds *negated* early corners
   // so the same descending-list kernel keeps the smallest arrivals.
-  std::vector<float> tk2_arr_;
-  std::vector<float> tk2_mu_;
-  std::vector<float> tk2_sig_;
-  std::vector<std::int32_t> tk2_sp_;
+  TopKPlane<float> tk2_arr_;
+  TopKPlane<float> tk2_mu_;
+  TopKPlane<float> tk2_sig_;
+  TopKPlane<std::int32_t> tk2_sp_;
   std::vector<std::int32_t> tk2_cnt_;
   std::vector<float> ep_hold_base_;  ///< late capture clock + hold, per ep
   std::vector<float> hold_slack_;    ///< per corner*endpoint

@@ -5,6 +5,7 @@
 
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace insta::timing {
 
@@ -19,6 +20,11 @@ using netlist::PinId;
 using util::check;
 
 namespace {
+
+/// Minimum items per pool chunk in compute_all's phases. One item is tens
+/// of ns of arithmetic, so smaller chunks would cost more to hand out than
+/// to run.
+constexpr std::size_t kGrain = 1024;
 
 /// Nominal mu/sigma of one arc for both output transitions.
 struct ArcVals {
@@ -189,23 +195,38 @@ void DelayCalculator::compute_all(ArcDelays& delays) {
           "delay_calc.full_computes");
   full_computes.inc();
   delays.resize(graph_->num_arcs());
-  for (std::size_t n = 0; n < design_->num_nets(); ++n) {
-    compute_net_load(static_cast<NetId>(n));
-  }
-  for (std::size_t c = 0; c < design_->num_cells(); ++c) {
-    compute_output_slew(static_cast<CellId>(c));
-  }
-  for (std::size_t n = 0; n < design_->num_nets(); ++n) {
-    compute_sink_slews(static_cast<NetId>(n));
-  }
-  for (std::size_t ai = 0; ai < graph_->num_arcs(); ++ai) {
-    const ArcRecord& a = graph_->arc(static_cast<ArcId>(ai));
-    if (a.kind == ArcKind::kNet) {
-      compute_net_arc(static_cast<ArcId>(ai), delays);
-    } else {
-      compute_cell_arc(static_cast<ArcId>(ai), delays);
-    }
-  }
+  // Four phases, each a parallel loop that writes disjoint indices and reads
+  // only what earlier phases wrote: net loads (per net), output slews (per
+  // cell, one output pin each), sink slews (per net; a sink pin sits on one
+  // net, and driver slews are only read), and arc delays (per arc). A launch
+  // returns when all its chunks are done, which is the barrier between
+  // phases. No phase reads its own output, so the result is bit-identical
+  // to a serial pass whatever the chunking.
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t nets = design_->num_nets();
+  pool.parallel_for(
+      0, nets,
+      [this](std::size_t n) { compute_net_load(static_cast<NetId>(n)); },
+      kGrain);
+  pool.parallel_for(
+      0, design_->num_cells(),
+      [this](std::size_t c) { compute_output_slew(static_cast<CellId>(c)); },
+      kGrain);
+  pool.parallel_for(
+      0, nets,
+      [this](std::size_t n) { compute_sink_slews(static_cast<NetId>(n)); },
+      kGrain);
+  pool.parallel_for(
+      0, graph_->num_arcs(),
+      [this, &delays](std::size_t ai) {
+        const auto id = static_cast<ArcId>(ai);
+        if (graph_->arc(id).kind == ArcKind::kNet) {
+          compute_net_arc(id, delays);
+        } else {
+          compute_cell_arc(id, delays);
+        }
+      },
+      kGrain);
 }
 
 std::vector<ArcId> DelayCalculator::update_for_resize(CellId cell_id,

@@ -39,7 +39,9 @@ class DelayCalculator {
   DelayCalculator(const netlist::Design& design, const TimingGraph& graph,
                   DelayModelParams params = {});
 
-  /// Computes loads, slews and all arc delays from scratch.
+  /// Computes loads, slews and all arc delays from scratch, as four
+  /// parallel phases on the global thread pool (bit-identical to a serial
+  /// pass; runs inline when called from inside a pool chunk).
   void compute_all(ArcDelays& delays);
 
   /// Exact incremental recalculation after `cell` was resized (the design

@@ -161,7 +161,9 @@ TEST(MutexWrapperTest, TryLockSemantics) {
 TEST(MutexWrapperTest, RcuStylePublishCopyIsRaceFree) {
   struct Snapshot {
     std::uint64_t version = 0;
-    std::uint64_t payload = 0;  ///< version * 3 + 1; checked by readers
+    /// version * 3 + 1; checked by readers. The default snapshot must
+    /// satisfy it too: a reader can copy it before the first publish.
+    std::uint64_t payload = 1;
   };
   Mutex snap_mu("test.snap", 10);
   std::shared_ptr<const Snapshot> snap INSTA_GUARDED_BY(snap_mu) =

@@ -55,8 +55,11 @@ struct Fixture {
   timing::ArcDelays delays;
   std::unique_ptr<ref::GoldenSta> sta;
 
-  explicit Fixture(std::uint64_t seed, bool hold = false) {
-    gd = gen::build_logic_block(gen::tiny_spec(seed));
+  explicit Fixture(std::uint64_t seed, bool hold = false)
+      : Fixture(gen::tiny_spec(seed), hold) {}
+
+  Fixture(const gen::LogicBlockSpec& spec, bool hold) {
+    gd = gen::build_logic_block(spec);
     graph = std::make_unique<timing::TimingGraph>(*gd.design,
                                                   gd.constraints.clock_root);
     calc = std::make_unique<timing::DelayCalculator>(*gd.design, *graph);
@@ -512,6 +515,33 @@ TEST(EngineState, ExportRequiresCleanCommittedState) {
     tx.commit();
   }
   EXPECT_TRUE(engine->export_state().generation == engine->generation());
+}
+
+/// The constructor fills the Top-K planes on the thread pool when
+/// EngineOptions::parallel is set and serially otherwise. Either way the
+/// image must come out byte for byte the same, lanes past each list's count
+/// included.
+TEST(EngineState, ParallelConstructionMatchesSerialByteForByte) {
+  gen::LogicBlockSpec spec = gen::tiny_spec(37);
+  spec.num_gates = 3000;  // the planes span several fill chunks
+  spec.num_ffs = 160;
+  for (const bool hold : {false, true}) {
+    const Fixture f(spec, hold);
+    for (const std::size_t corners : {1u, 4u}) {
+      SCOPED_TRACE("hold " + std::to_string(hold) + ", corners " +
+                   std::to_string(corners));
+      core::EngineOptions opt;
+      opt.top_k = 8;
+      opt.enable_hold = hold;
+      opt.corners = corner_set(corners);
+      core::Engine par(*f.sta, opt);
+      opt.parallel = false;
+      core::Engine ser(*f.sta, opt);
+      par.run_forward();
+      ser.run_forward();
+      expect_state_eq(par.export_state(), ser.export_state());
+    }
+  }
 }
 
 /// merged_summary is cached per generation; both rollback (same generation,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <unordered_map>
 
 #include "gen/logic_block.hpp"
@@ -11,6 +14,8 @@
 #include "timing/delay_calc.hpp"
 #include "timing/graph.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace insta {
 namespace {
@@ -247,6 +252,67 @@ TEST(DelayCalc, ResizeUpdateMatchesFromScratch) {
       EXPECT_NEAR(delays.mu[rf][a], scratch.mu[rf][a], 1e-9)
           << "arc " << a << " rf " << rf;
       EXPECT_NEAR(delays.sigma[rf][a], scratch.sigma[rf][a], 1e-9);
+    }
+  }
+}
+
+TEST(DelayCalc, ComputeAllIsThreadCountInvariant) {
+  // Large enough that each phase (nets, cells, sink slews, arcs) spans
+  // several pool chunks.
+  gen::LogicBlockSpec spec = gen::tiny_spec(83);
+  spec.num_gates = 6000;
+  spec.num_ffs = 300;
+  gen::GeneratedDesign gd = gen::build_logic_block(spec);
+  ASSERT_GT(gd.design->num_nets(), 4096u);
+  ASSERT_GT(gd.design->num_cells(), 4096u);
+  TimingGraph graph(*gd.design, gd.constraints.clock_root);
+  util::Rng rng(3);
+  for (std::size_t c = 0; c < gd.design->num_cells(); ++c) {
+    netlist::Cell& cell = gd.design->cell(static_cast<CellId>(c));
+    cell.x = rng.uniform() * 500.0;
+    cell.y = rng.uniform() * 500.0;
+  }
+
+  for (const bool placed : {false, true}) {
+    SCOPED_TRACE(placed ? "placement lengths" : "length hints");
+    timing::DelayModelParams dm;
+    dm.use_placement = placed;
+    DelayCalculator par_calc(*gd.design, graph, dm);
+    ArcDelays par;
+    par_calc.compute_all(par);
+    // A launch from inside a pool chunk runs inline on that chunk's thread,
+    // so this compute_all is the serial reference.
+    DelayCalculator ser_calc(*gd.design, graph, dm);
+    ArcDelays ser;
+    util::ThreadPool::global().parallel_for_chunks(
+        std::size_t{0}, std::size_t{2},
+        [&](std::size_t lo, std::size_t) {
+          if (lo == 0) ser_calc.compute_all(ser);
+        },
+        1);
+
+    const auto same = [](const std::vector<double>& a,
+                         const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    for (const int rf : {0, 1}) {
+      EXPECT_TRUE(same(par.mu[rf], ser.mu[rf])) << "mu rf " << rf;
+      EXPECT_TRUE(same(par.sigma[rf], ser.sigma[rf])) << "sigma rf " << rf;
+    }
+    for (std::size_t n = 0; n < gd.design->num_nets(); ++n) {
+      const auto net = static_cast<NetId>(n);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(par_calc.load(net)),
+                std::bit_cast<std::uint64_t>(ser_calc.load(net)))
+          << "net " << n;
+    }
+    for (std::size_t p = 0; p < gd.design->num_pins(); ++p) {
+      for (const auto rf : {netlist::RiseFall::kRise, netlist::RiseFall::kFall}) {
+        const auto pin = static_cast<PinId>(p);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(par_calc.slew(pin, rf)),
+                  std::bit_cast<std::uint64_t>(ser_calc.slew(pin, rf)))
+            << "pin " << p;
+      }
     }
   }
 }
