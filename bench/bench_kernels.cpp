@@ -721,13 +721,19 @@ bool write_kernel_report() {
   }
 
   // Mixed-regime rows: reconvergent tags (pool 2K) at K = 16 and the
-  // engine-default K = 32, each at two fanins. fanin = 8 is fill-heavy
-  // (the destination list is rebuilt often, so sorted-insert traffic —
-  // serial small-list maintenance paid by both flavors — dominates);
-  // fanin = 32 amortizes the fill over more filtered arcs. A disjoint-tag
-  // variant rides along so the sorted-insert path is also tracked.
+  // engine-default K = 32. fanin = 1 is the pure seed regime (every merge
+  // seeds an empty list from one parent — on block-1 that is 71% of a
+  // dense forward's candidates); fanin = 2 is one seed step plus one arc
+  // through the filter/insert kernel. fanin = 8 is fill-heavy (the
+  // destination list is rebuilt often, so sorted-insert traffic — serial
+  // small-list maintenance paid by both flavors — dominates); fanin = 32
+  // amortizes the fill over more filtered arcs. A disjoint-tag variant
+  // rides along so the sorted-insert path is also tracked.
   for (const std::int32_t k : {16, 32}) {
-    for (const std::int32_t fanin : {8, 32}) {
+    const std::vector<std::int32_t> fanins =
+        k == 32 ? std::vector<std::int32_t>{1, 2, 8, 32}
+                : std::vector<std::int32_t>{8, 32};
+    for (const std::int32_t fanin : fanins) {
       const MergeWorkload w(k, 4096, 2 * k, fanin);
       const std::string tag =
           "merge_k" + std::to_string(k) + "_f" + std::to_string(fanin);

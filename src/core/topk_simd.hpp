@@ -31,9 +31,11 @@ struct MergeArc {
 
 /// Counters accumulated by the merge kernels; folded into the caller's
 /// ForwardCounters. `prunes` counts candidates rejected either by the
-/// 8-lane threshold pre-filter (arrival <= smallest kept entry of a full
-/// list — such a candidate can never change the list, even when its
-/// startpoint is already present) or by topk_insert's own full-list check.
+/// 8-lane threshold pre-filter (arrival not > the smallest kept entry of a
+/// full list, or not > -inf otherwise — a full-list candidate at or below
+/// the minimum can never change the list, even when its startpoint is
+/// already present; NaN and -inf never enter a list) or by topk_insert's
+/// own full-list check.
 struct MergeCounters {
   std::uint64_t merges = 0;
   std::uint64_t prunes = 0;
@@ -41,7 +43,10 @@ struct MergeCounters {
 
 /// Merges the candidates of `n` fanin arcs into `dst` in arc order,
 /// lane-group by lane-group (groups of 8 parent entries), with a
-/// threshold pre-filter against the smallest kept arrival. Scalar
+/// threshold pre-filter against the smallest kept arrival. While `dst` is
+/// empty the next arc goes through the seed step instead: topk_insert
+/// without its tag scan and full-list check, which cannot fire when one
+/// parent (unique tags, at most K entries) fills an empty list. Scalar
 /// reference flavor; the group structure matches the AVX2 flavor exactly
 /// so counters agree too.
 void merge_arcs_scalar(const TopKView& dst, const MergeArc* arcs, int n,
@@ -50,7 +55,8 @@ void merge_arcs_scalar(const TopKView& dst, const MergeArc* arcs, int n,
 /// AVX2 flavor: 8 candidates per iteration (loadu for full groups,
 /// maskload for the ragged tail so no buffer padding is required), vector
 /// compare against the threshold, then ascending-lane scalar inserts of
-/// the survivors. Call only when util::simd::resolve() said so.
+/// the survivors; the same seed step while `dst` is empty. Call only when
+/// util::simd::resolve() said so.
 void merge_arcs_avx2(const TopKView& dst, const MergeArc* arcs, int n,
                      float nsigma, bool early, MergeCounters& mc);
 

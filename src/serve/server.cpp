@@ -214,12 +214,14 @@ void Server::stop() {
     // Second caller: still wait for the threads if the first stop() is
     // somehow incomplete (idempotence for ~Server after explicit stop()).
   }
+  // shutdown() wakes the accept thread out of ::accept; the fd is closed
+  // and reset only after the join, since accept_loop reads listen_fd_.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     const util::LockGuard cl(conn_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
