@@ -963,6 +963,15 @@ void Engine::import_state(const EngineState& s) {
   sized(s.whs, whs_cache_, "whs cache size");
   sized(s.whs_any, whs_any_, "whs_any cache size");
   sized(s.whs_valid, whs_valid_, "whs_valid cache size");
+  // The merge kernels write as many destination entries as a parent list
+  // holds, so a count outside [0, top_k] would index past a pin's lanes.
+  auto counts_in_range = [&s](const std::vector<std::int32_t>& cnt) {
+    return std::all_of(cnt.begin(), cnt.end(), [&s](std::int32_t n) {
+      return n >= 0 && n <= s.top_k;
+    });
+  };
+  require(counts_in_range(s.tk_cnt), "tk_cnt entry outside [0, top_k]");
+  require(counts_in_range(s.tk2_cnt), "tk2_cnt entry outside [0, top_k]");
 
   amu_ = s.amu;
   asig_ = s.asig;

@@ -499,6 +499,45 @@ TEST(EngineState, ImportRejectsMismatchedShapeOrOptions) {
   }
 }
 
+/// A snapshot's Top-K counts bound how many entries the merge kernels
+/// write per pin, so one outside [0, top_k] must be refused before any
+/// plane is replaced.
+TEST(EngineState, ImportRejectsOutOfRangeTopKCounts) {
+  Fixture f(31, /*hold=*/true);
+  auto writer = f.make_engine(corner_set(1), /*hold=*/true);
+  const EngineState good = writer->export_state();
+  ASSERT_FALSE(good.tk_cnt.empty());
+  ASSERT_FALSE(good.tk2_cnt.empty());
+
+  auto target = f.make_engine(corner_set(1), /*hold=*/true);
+  const EngineState before = target->export_state();
+  const auto refused = [&](EngineState bad) {
+    EXPECT_THROW(target->import_state(bad), util::CheckError);
+    expect_state_eq(target->export_state(), before);
+  };
+  {
+    EngineState bad = good;
+    bad.tk_cnt[0] = good.top_k + 1;
+    refused(bad);
+  }
+  {
+    EngineState bad = good;
+    bad.tk_cnt.back() = -1;
+    refused(bad);
+  }
+  {
+    EngineState bad = good;
+    bad.tk2_cnt[bad.tk2_cnt.size() / 2] = good.top_k + 1;
+    refused(bad);
+  }
+  {
+    EngineState edge = good;
+    edge.tk_cnt[0] = good.top_k;  // the capacity itself is in range
+    target->import_state(edge);
+    EXPECT_EQ(target->generation(), writer->generation());
+  }
+}
+
 TEST(EngineState, ExportRequiresCleanCommittedState) {
   Fixture f(29);
   auto engine = f.make_engine();
