@@ -532,7 +532,7 @@ int cmd_profile(const Args& args) {
   });
 
   core::EngineOptions eopt;
-  eopt.top_k = static_cast<int>(args.get_num("topk", 8));
+  eopt.top_k = static_cast<int>(args.get_num("topk", 32));
   eopt.corners = parse_corner_flag(args, "profile");
   std::unique_ptr<core::Engine> engine;
   time_phase("profile.engine_init", 1,

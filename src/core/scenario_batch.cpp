@@ -1,6 +1,7 @@
 #include "core/scenario_batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -102,12 +103,8 @@ struct ScenarioBatch::Workspace {
   // Phase-3 results, parallel to dirty_eps; ep_ov lets the lazy WNS rescan
   // substitute scenario slacks for baseline ones.
   std::vector<float> new_setup, new_hold;
+  // Between cells it is all -1, and fold_scenario borrows it as scratch.
   std::vector<std::int32_t> ep_ov;  // per endpoint, -1 = baseline slack
-
-  // Cross-corner merged endpoint slacks (multi-corner engines only):
-  // running per-endpoint minimum folded corner by corner, scanned once at
-  // the end in the same endpoint-major order as Engine::merged_summary.
-  std::vector<float> merged_setup, merged_hold;
 
   void init(const Engine& e) {
     k = e.options_.top_k;
@@ -116,8 +113,8 @@ struct ScenarioBatch::Workspace {
     pin_ov.assign(e.num_pins_, -1);
     dirty.assign(e.num_pins_, 0);
     frontier.resize(e.level_start_.size() - 1);
-    // Overlay maps are corner-relative (one scenario corner in flight at a
-    // time), so they size to the single-corner plane, not the C× stores.
+    // Overlay maps are corner-relative (one cell in flight per workspace),
+    // so they size to the single-corner plane, not the C× stores.
     slot_ov.assign(e.num_slots_, -1);
     sp_ov.assign(e.num_sps_, -1);
     ep_ov.assign(e.ep_pin_.size(), -1);
@@ -274,6 +271,21 @@ struct ScenarioBatch::OverlayValues {
   }
 };
 
+/// What one (scenario, corner) cell hands its scenario's fold: the corner's
+/// summaries, its work counters, and its endpoint overrides — each endpoint
+/// the frontier reached, with its new slacks, in dirty-endpoint order.
+struct ScenarioBatch::Cell {
+  SlackSummary setup;
+  SlackSummary hold;
+  std::uint64_t frontier_pins = 0;
+  std::uint64_t early_terminations = 0;
+  std::uint64_t endpoints_evaluated = 0;
+  std::size_t overlay_bytes = 0;
+  /// Recorded only when a reader exists: multi-corner engines (the merged
+  /// fold) and corner 0 under collect_endpoints.
+  std::vector<EndpointSlackChange> overrides;
+};
+
 ScenarioBatch::ScenarioBatch(const Engine& engine, ScenarioBatchOptions options)
     : engine_(&engine), options_(options) {}
 
@@ -296,68 +308,88 @@ void ScenarioBatch::release_workspace(Workspace& ws) {
   free_list_.push_back(&ws);
 }
 
-/// One scenario end-to-end across every corner: the delta-set is broadcast
-/// (the corner × delta-set cross product), one corner at a time through the
-/// same workspace. Per-corner summaries fill setup_by_corner/hold_by_corner;
-/// multi-corner engines additionally fold a running per-endpoint minimum
-/// that a final endpoint-major scan turns into the merged summary — the same
-/// semantics (and float comparisons) as Engine::merged_summary.
-void ScenarioBatch::run_scenario(std::span<const timing::ArcDelta> deltas,
-                                 Workspace& ws, bool level_parallel,
-                                 std::uint64_t flow_id,
-                                 ScenarioResult& out) const {
-  INSTA_TRACE_SCOPE("scenario.run",
-                    static_cast<std::int64_t>(deltas.size()));
-  if (flow_id != 0) telemetry::Tracer::global().flow(flow_id, 't');
+/// The per-scenario post-pass over its C cells. Per-corner summaries and
+/// counters copy over; multi-corner engines fold each cell's overrides into
+/// a running per-endpoint minimum, corner 0 first, that a final
+/// endpoint-major scan turns into the merged summary — the same semantics
+/// (and float comparisons) as Engine::merged_summary.
+void ScenarioBatch::fold_scenario(std::span<Cell> cells, Workspace& ws,
+                                  ScenarioResult& out) const {
   const Engine& e = *engine_;
-  const auto num_corners = static_cast<CornerId>(e.C_);
   const bool hold = ws.hold;
-  const bool multi = num_corners > 1;
-  const std::size_t num_eps = e.ep_pin_.size();
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  out.setup_by_corner.assign(static_cast<std::size_t>(num_corners), {});
-  if (hold) {
-    out.hold_by_corner.assign(static_cast<std::size_t>(num_corners), {});
+  const std::size_t num_corners = cells.size();
+  out.setup_by_corner.resize(num_corners);
+  if (hold) out.hold_by_corner.resize(num_corners);
+  for (std::size_t c = 0; c < num_corners; ++c) {
+    const Cell& cell = cells[c];
+    out.setup_by_corner[c] = cell.setup;
+    if (hold) out.hold_by_corner[c] = cell.hold;
+    out.frontier_pins += cell.frontier_pins;
+    out.early_terminations += cell.early_terminations;
+    out.endpoints_evaluated += cell.endpoints_evaluated;
+    out.overlay_bytes += cell.overlay_bytes;
   }
-  if (multi) {
-    ws.merged_setup.assign(num_eps, kInf);
-    if (hold) ws.merged_hold.assign(num_eps, kInf);
-  }
-  for (CornerId corner = 0; corner < num_corners; ++corner) {
-    run_scenario_corner(deltas, ws, level_parallel, corner, out);
-    ws.reset();
-  }
-  if (!multi) {
-    out.setup = out.setup_by_corner[0];
-    if (hold) out.hold = out.hold_by_corner[0];
-    return;
-  }
-  // Endpoint-major merged scan, same order and comparisons as
-  // Engine::merged_summary (merged_setup already holds each endpoint's
-  // worst-over-corners value; unconstrained-everywhere endpoints stayed
-  // +inf and are skipped).
-  const auto merge_scan = [num_eps](const std::vector<float>& m) {
-    double tns = 0.0;
-    float worst = 0.0f;
-    bool any = false;
-    int violations = 0;
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const float s = m[ep];
-      if (!std::isfinite(s)) continue;
-      if (s < 0.0f) {
-        tns += static_cast<double>(s);
-        ++violations;
+  if (num_corners == 1) {
+    out.setup = cells[0].setup;
+    if (hold) out.hold = cells[0].hold;
+  } else {
+    // Corner-major running minimum: each corner's overrides substitute for
+    // its baseline plane through the workspace's endpoint map.
+    const std::size_t num_eps = e.ep_pin_.size();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    std::vector<float> merged_setup(num_eps, kInf);
+    std::vector<float> merged_hold(hold ? num_eps : 0, kInf);
+    for (std::size_t c = 0; c < num_corners; ++c) {
+      const std::vector<EndpointSlackChange>& ov = cells[c].overrides;
+      for (std::size_t i = 0; i < ov.size(); ++i) {
+        ws.ep_ov[static_cast<std::size_t>(ov[i].ep)] =
+            static_cast<std::int32_t>(i);
       }
-      if (!any || s < worst) {
-        worst = s;
-        any = true;
+      const std::size_t eoff = e.ep_off(static_cast<CornerId>(c));
+      for (std::size_t ep = 0; ep < num_eps; ++ep) {
+        const std::int32_t oi = ws.ep_ov[ep];
+        const float s = oi >= 0 ? ov[static_cast<std::size_t>(oi)].setup
+                                : e.slack_[eoff + ep];
+        if (s < merged_setup[ep]) merged_setup[ep] = s;
+        if (hold) {
+          const float h = oi >= 0 ? ov[static_cast<std::size_t>(oi)].hold
+                                  : e.hold_slack_[eoff + ep];
+          if (h < merged_hold[ep]) merged_hold[ep] = h;
+        }
+      }
+      for (const EndpointSlackChange& ch : ov) {
+        ws.ep_ov[static_cast<std::size_t>(ch.ep)] = -1;
       }
     }
-    return SlackSummary{tns, any ? static_cast<double>(worst) : 0.0,
-                        violations};
-  };
-  out.setup = merge_scan(ws.merged_setup);
-  if (hold) out.hold = merge_scan(ws.merged_hold);
+    // Endpoint-major merged scan, same order and comparisons as
+    // Engine::merged_summary (unconstrained-everywhere endpoints stayed
+    // +inf and are skipped).
+    const auto merge_scan = [num_eps](const std::vector<float>& m) {
+      double tns = 0.0;
+      float worst = 0.0f;
+      bool any = false;
+      int violations = 0;
+      for (std::size_t ep = 0; ep < num_eps; ++ep) {
+        const float s = m[ep];
+        if (!std::isfinite(s)) continue;
+        if (s < 0.0f) {
+          tns += static_cast<double>(s);
+          ++violations;
+        }
+        if (!any || s < worst) {
+          worst = s;
+          any = true;
+        }
+      }
+      return SlackSummary{tns, any ? static_cast<double>(worst) : 0.0,
+                          violations};
+    };
+    out.setup = merge_scan(merged_setup);
+    if (hold) out.hold = merge_scan(merged_hold);
+  }
+  if (options_.collect_endpoints) {
+    out.endpoint_changes = std::move(cells[0].overrides);
+  }
 }
 
 /// One (scenario, corner) cell: overlay-annotate, frontier-sparse level
@@ -369,7 +401,11 @@ void ScenarioBatch::run_scenario(std::span<const timing::ArcDelta> deltas,
 /// intact.
 void ScenarioBatch::run_scenario_corner(
     std::span<const timing::ArcDelta> deltas, Workspace& ws,
-    bool level_parallel, CornerId corner, ScenarioResult& out) const {
+    bool level_parallel, CornerId corner, std::uint64_t flow_id,
+    Cell& out) const {
+  INSTA_TRACE_SCOPE("scenario.run",
+                    static_cast<std::int64_t>(deltas.size()));
+  if (flow_id != 0) telemetry::Tracer::global().flow(flow_id, 't');
   const Engine& e = *engine_;
   const auto cc = static_cast<std::size_t>(corner);
   const float dscale = e.corners_[cc].delay_scale;
@@ -574,7 +610,7 @@ void ScenarioBatch::run_scenario_corner(
   } else {
     eval(0, nd);
   }
-  out.endpoints_evaluated += nd;
+  out.endpoints_evaluated = nd;
 
   // ---- aggregate replay: apply_setup_delta/apply_hold_delta on locals ----
   // Starts from this corner's settled parent caches (evaluate() reads
@@ -678,39 +714,26 @@ void ScenarioBatch::run_scenario_corner(
     whs_any = any;
   }
 
-  out.setup_by_corner[cc] =
+  out.setup =
       SlackSummary{tns, wns_any ? static_cast<double>(wns_c) : 0.0, nviol};
   if (hold) {
-    out.hold_by_corner[cc] =
+    out.hold =
         SlackSummary{ths, whs_any ? static_cast<double>(whs_c) : 0.0, nhviol};
   }
-  // Fold this corner's substituted endpoint slacks into the running
-  // cross-corner minimum (the caller's final scan mirrors
-  // Engine::merged_summary); baseline reads stay on this corner's plane.
-  if (e.C_ > 1) {
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const std::int32_t oi = ws.ep_ov[ep];
-      const float s = oi >= 0 ? ws.new_setup[static_cast<std::size_t>(oi)]
-                              : e.slack_[eoff + ep];
-      if (s < ws.merged_setup[ep]) ws.merged_setup[ep] = s;
-      if (hold) {
-        const float h = oi >= 0 ? ws.new_hold[static_cast<std::size_t>(oi)]
-                                : e.hold_slack_[eoff + ep];
-        if (h < ws.merged_hold[ep]) ws.merged_hold[ep] = h;
-      }
-    }
-  }
-  if (corner == 0 && options_.collect_endpoints) {
-    out.endpoint_changes.reserve(nd);
+  // Endpoint overrides for fold_scenario: the merged fold substitutes them
+  // for this corner's baseline plane, and corner 0's are the scenario's
+  // endpoint_changes.
+  if (e.C_ > 1 || (corner == 0 && options_.collect_endpoints)) {
+    out.overrides.reserve(nd);
     for (std::size_t i = 0; i < nd; ++i) {
       EndpointSlackChange ch;
       ch.ep = ws.dirty_eps[i];
       ch.setup = ws.new_setup[i];
       if (hold) ch.hold = ws.new_hold[i];
-      out.endpoint_changes.push_back(ch);
+      out.overrides.push_back(ch);
     }
   }
-  out.overlay_bytes += ws.overlay_bytes();
+  out.overlay_bytes = ws.overlay_bytes();
 }
 
 std::vector<ScenarioResult> ScenarioBatch::evaluate(
@@ -764,27 +787,57 @@ std::vector<ScenarioResult> ScenarioBatch::evaluate(
       break;
   }
 
+  const std::size_t num_corners = e.C_;
+  const std::size_t num_cells = num_scenarios * num_corners;
+  std::vector<Cell> cells(num_cells);
+  const auto cells_of = [&cells, num_corners](std::size_t s) {
+    return std::span<Cell>(cells).subspan(s * num_corners, num_corners);
+  };
   if (scenario_parallel) {
-    // One workspace per chunk: a worker checks one out, streams its
-    // scenarios through it serially (level-parallelism off — the pool is
-    // already saturated with scenarios), and returns it.
+    // Cells, not scenarios, are the unit of dispatch, so a heavy scenario's
+    // corners run on different threads. run_chunked would merge
+    // consecutive cells into one chunk (it caps a launch at
+    // 4 × (workers + 1) chunks), so the launch instead starts one puller
+    // per thread, and each pulls single cells, scenario-major, off a shared
+    // counter through its own workspace (level-parallelism off — the pool
+    // is already saturated with cells). Whoever finishes a scenario's last
+    // cell folds it; the acq_rel countdown publishes the other cells.
     auto& pool = util::ThreadPool::global();
-    pool.parallel_for_chunks(
-        std::size_t{0}, num_scenarios,
-        [&](std::size_t lo, std::size_t hi) {
-          Workspace& ws = acquire_workspace();
-          for (std::size_t s = lo; s < hi; ++s) {
-            run_scenario(scenarios[s], ws, /*level_parallel=*/false,
-                         flow_of(s), results[s]);
+    const std::size_t pullers = std::min(num_cells, pool.size() + 1);
+    std::atomic<std::size_t> next_cell{0};
+    std::vector<std::atomic<std::size_t>> cells_done(num_scenarios);
+    pool.parallel_for(
+        std::size_t{0}, pullers,
+        [&](std::size_t) {
+          Workspace* ws = nullptr;
+          for (;;) {
+            const std::size_t cell =
+                next_cell.fetch_add(1, std::memory_order_relaxed);
+            if (cell >= num_cells) break;
+            if (ws == nullptr) ws = &acquire_workspace();
+            const std::size_t s = cell / num_corners;
+            run_scenario_corner(scenarios[s], *ws, /*level_parallel=*/false,
+                                static_cast<CornerId>(cell % num_corners),
+                                flow_of(s), cells[cell]);
+            ws->reset();
+            if (cells_done[s].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                num_corners) {
+              fold_scenario(cells_of(s), *ws, results[s]);
+            }
           }
-          release_workspace(ws);
+          if (ws != nullptr) release_workspace(*ws);
         },
         /*grain=*/1);
   } else {
     Workspace& ws = acquire_workspace();
     for (std::size_t s = 0; s < num_scenarios; ++s) {
-      run_scenario(scenarios[s], ws, /*level_parallel=*/true, flow_of(s),
-                   results[s]);
+      for (std::size_t c = 0; c < num_corners; ++c) {
+        run_scenario_corner(scenarios[s], ws, /*level_parallel=*/true,
+                            static_cast<CornerId>(c), flow_of(s),
+                            cells_of(s)[c]);
+        ws.reset();
+      }
+      fold_scenario(cells_of(s), ws, results[s]);
     }
     release_workspace(ws);
   }

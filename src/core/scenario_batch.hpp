@@ -18,11 +18,12 @@ enum class ScenarioStrategy : std::uint8_t {
   /// Scenario-parallel for B >= 4 (many small ECOs), level-parallel
   /// otherwise (few large ones).
   kAuto,
-  /// One worker per scenario; each scenario propagates serially. Best when
-  /// B is large and frontiers are small: every core retires whole
-  /// scenarios with zero synchronization between levels.
+  /// One worker per (scenario, corner) cell; each cell propagates serially.
+  /// Best when B is large and frontiers are small: every core retires whole
+  /// cells with zero synchronization between levels, and a heavy
+  /// scenario's corners still spread over different cores.
   kScenarioParallel,
-  /// Scenarios evaluated one at a time; each borrows the engine's
+  /// Cells evaluated one at a time; each borrows the engine's
   /// level-parallel kernels for its own frontier. Best when B is small and
   /// the frontiers are wide enough to split.
   kLevelParallel,
@@ -104,10 +105,10 @@ class ScenarioBatch {
   /// error aborts the batch with a CheckError naming the scenario.
   ///
   /// When `flow_ids` is non-empty it must be scenario-parallel (size B):
-  /// each scenario's "scenario.run" trace span emits a flow step with
-  /// flow_ids[i], linking the span back to the originating request in the
-  /// Chrome trace. Ids of 0 are skipped; purely observational — results are
-  /// unaffected.
+  /// the "scenario.run" trace span of each of scenario i's (scenario,
+  /// corner) cells emits a flow step with flow_ids[i], linking the span
+  /// back to the originating request in the Chrome trace. Ids of 0 are
+  /// skipped; purely observational — results are unaffected.
   [[nodiscard]] std::vector<ScenarioResult> evaluate(
       std::span<const std::span<const timing::ArcDelta>> scenarios,
       std::span<const std::uint64_t> flow_ids = {});
@@ -124,23 +125,26 @@ class ScenarioBatch {
  private:
   struct Workspace;
   struct OverlayValues;
+  struct Cell;
 
   Workspace& acquire_workspace();
   void release_workspace(Workspace& ws);
-  void run_scenario(std::span<const timing::ArcDelta> deltas, Workspace& ws,
-                    bool level_parallel, std::uint64_t flow_id,
-                    ScenarioResult& out) const;
-  /// One (scenario, corner) cell of the cross product: the whole
-  /// annotate/walk/evaluate/replay pipeline against one corner's planes.
-  /// Corners run back-to-back through the same workspace (reset between),
-  /// so each cell replays exactly an independent single-corner pass.
+  /// One (scenario, corner) cell of the cross product, the unit of
+  /// dispatch: the whole annotate/walk/evaluate/replay pipeline against one
+  /// corner's planes, from a reset workspace, so each cell replays exactly
+  /// an independent single-corner pass. The caller resets `ws` afterwards.
   void run_scenario_corner(std::span<const timing::ArcDelta> deltas,
                            Workspace& ws, bool level_parallel, CornerId corner,
-                           ScenarioResult& out) const;
+                           std::uint64_t flow_id, Cell& out) const;
+  /// Folds one scenario's C finished cells, in corner order, into its
+  /// ScenarioResult. `ws` must be reset; its endpoint map is borrowed as
+  /// scratch and left reset.
+  void fold_scenario(std::span<Cell> cells, Workspace& ws,
+                     ScenarioResult& out) const;
 
   const Engine* engine_;
   ScenarioBatchOptions options_;
-  /// Workspace pool: scenario workers check one out per chunk. All owned
+  /// Workspace pool: every cell-pulling thread checks one out. All owned
   /// here; free_list_ holds the idle ones.
   util::Mutex pool_mutex_{"core.scenario_pool", util::lockrank::kScenarioPool};
   std::vector<std::unique_ptr<Workspace>> workspaces_

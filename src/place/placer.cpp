@@ -27,11 +27,11 @@ GlobalPlacer::GlobalPlacer(gen::PlacementBench& bench, PlacerOptions options)
   calc_->compute_all(delays_);
 
   // Exact golden pruning window: the maximum possible CPPR credit plus a
-  // safety margin (DESIGN.md §6).
+  // 10 ps safety margin (DESIGN.md §6).
   const timing::ClockAnalysis probe(*graph_, delays_,
                                     bench.gd.constraints.nsigma);
   ref::GoldenOptions gopt;
-  gopt.prune_window = probe.max_credit() * 1.5 + options_.golden_prune_margin;
+  gopt.prune_window = probe.max_credit() * 1.5 + 10.0;
   sta_ = std::make_unique<ref::GoldenSta>(*graph_, bench.gd.constraints,
                                           delays_, gopt);
 

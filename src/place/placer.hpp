@@ -36,7 +36,6 @@ struct PlacerOptions {
   double nw_beta = 0.5;             ///< net-weighting momentum
   int insta_top_k = 8;              ///< Top-K of the in-loop INSTA engine
   float insta_tau = 10.0f;          ///< LSE temperature of the in-loop engine
-  double golden_prune_margin = 10.0;  ///< ps added to the exact prune window
 };
 
 /// Per-phase runtime of the timing-refresh iterations (the Fig. 9 data).

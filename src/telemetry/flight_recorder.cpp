@@ -23,6 +23,7 @@ const char* flight_event_name(FlightEventType type) {
 #include <unistd.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "analysis/lock_hierarchy.hpp"
 #include "telemetry/json.hpp"
@@ -75,18 +76,38 @@ void FlightRecorder::record(FlightEventType type, std::uint64_t request_id,
                             std::uint64_t generation, std::uint32_t detail) {
   const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_acq_rel);
   Slot& s = slots_[ticket % kCapacity];
-  // Seqlock write: odd marks the slot torn, even (keyed to the ticket)
-  // publishes it. A writer lapped by a full ring rotation can interleave
-  // here; readers then see a seq/ticket mismatch and skip the slot —
-  // recording stays wait-free and never blocks the request path.
-  s.seq.store(2 * ticket + 1, std::memory_order_release);
+  // Seqlock write: odd (keyed to the ticket) marks the slot claimed and
+  // torn, even publishes it. The claim is a CAS from an older ticket's
+  // published (even) value, so at most one writer ever fills a slot:
+  //  - a newer ticket already there means this writer was lapped by a full
+  //    ring rotation, and its older event is dropped;
+  //  - an older ticket mid-write (odd) is waited out. That needs a writer
+  //    stalled for a whole rotation, and it keeps a slow writer from
+  //    storing its payload into, or publishing over, a newer event.
+  const std::uint64_t claimed = 2 * ticket + 1;
+  std::uint64_t cur = s.seq.load(std::memory_order_acquire);
+  for (;;) {
+    if (cur >= claimed) return;
+    if ((cur & 1U) != 0) {
+      std::this_thread::yield();
+      cur = s.seq.load(std::memory_order_acquire);
+      continue;
+    }
+    if (s.seq.compare_exchange_weak(cur, claimed, std::memory_order_acquire,
+                                    std::memory_order_acquire)) {
+      break;
+    }
+  }
+  // Orders the claim before the payload stores for readers that fence
+  // after copying (read_slot).
+  std::atomic_thread_fence(std::memory_order_release);
   s.ts_ns.store(Tracer::now_ns(), std::memory_order_relaxed);
   s.request_id.store(request_id, std::memory_order_relaxed);
   s.generation.store(generation, std::memory_order_relaxed);
   s.detail_type.store((static_cast<std::uint64_t>(detail) << 8U) |
                           static_cast<std::uint64_t>(type),
                       std::memory_order_relaxed);
-  s.seq.store(2 * ticket + 2, std::memory_order_release);
+  s.seq.store(claimed + 1, std::memory_order_release);
 }
 
 bool FlightRecorder::read_slot(std::uint64_t ticket, FlightEvent& out) const {

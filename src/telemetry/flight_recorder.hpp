@@ -4,10 +4,11 @@
 //
 // A fixed-size lock-free ring of the last kCapacity request events
 // (admit/enqueue/batch/eval/reply/shed with request id, generation and a
-// per-type detail word). Writers claim a monotonically increasing ticket
-// with one relaxed fetch_add and fill the slot through relaxed atomics
-// bracketed by an odd/even per-slot sequence number (a seqlock), so
-// recording costs a handful of uncontended atomic stores — cheap enough to
+// per-type detail word). Writers take a monotonically increasing ticket
+// with one fetch_add, claim the ticket's slot with one CAS on its sequence
+// number, and fill it through relaxed atomics bracketed by that odd/even
+// sequence number (a seqlock), so recording costs a handful of uncontended
+// atomic operations — cheap enough to
 // leave enabled in Release, which is the whole point: when the server
 // aborts or a request goes sideways, the last few thousand lifecycle
 // events are always there to dump.
@@ -68,8 +69,10 @@ class FlightRecorder {
   /// Process-wide recorder used by the serve layer and the dump hooks.
   static FlightRecorder& global();
 
-  /// Records one event. Lock-free and wait-free apart from slot reuse;
-  /// safe from any thread.
+  /// Records one event; safe from any thread. Wait-free unless the slot's
+  /// previous writer stalled mid-write for a full ring rotation (this call
+  /// then waits for it); a writer that a newer ticket lapped drops its
+  /// event rather than overwrite the newer one.
   void record(FlightEventType type, std::uint64_t request_id,
               std::uint64_t generation = 0, std::uint32_t detail = 0);
 
@@ -102,8 +105,9 @@ class FlightRecorder {
   static void install_signal_dump();
 
  private:
-  /// One seqlock-protected slot. seq transitions 0 -> odd (writing) ->
-  /// even (2 * ticket + 2, published); every field is a relaxed atomic so
+  /// One seqlock-protected slot. seq transitions 0 -> odd (2 * ticket + 1,
+  /// claimed and writing) -> even (2 * ticket + 2, published) and only
+  /// grows between clear() calls; every field is a relaxed atomic so
   /// concurrent read/overwrite is detected by seq, not undefined behavior.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};

@@ -61,8 +61,10 @@ class ThreadPool {
 
   /// Runs `fn(i)` for every i in [begin, end), distributing contiguous
   /// chunks across workers, and blocks until all iterations finish.
-  /// `grain` is the minimum chunk size (prevents over-splitting tiny loops;
-  /// loops smaller than `grain` run inline on the calling thread).
+  /// `grain` is only the minimum chunk size (prevents over-splitting tiny
+  /// loops; loops smaller than `grain` run inline on the calling thread): a
+  /// launch splits into at most 4 × (size() + 1) chunks, so beyond that
+  /// consecutive indices merge into one chunk and run on one thread.
   /// If any iteration throws, the first exception is captured and rethrown
   /// on the calling thread after all chunks have drained; the pool stays
   /// usable afterwards. Routed through the same ticket-dispatch path as
@@ -82,8 +84,9 @@ class ThreadPool {
   }
 
   /// Like parallel_for but hands each worker a [chunk_begin, chunk_end)
-  /// range, which avoids per-index call overhead in hot kernels.
-  /// Same exception contract as parallel_for.
+  /// range, which avoids per-index call overhead in hot kernels. Same chunk
+  /// cap and exception contract as parallel_for: with more than
+  /// 4 × (size() + 1) × grain indices a chunk spans more than `grain`.
   template <typename F>
   void parallel_for_chunks(std::size_t begin, std::size_t end, F&& fn,
                            std::size_t grain = 256) {
@@ -98,9 +101,13 @@ class ThreadPool {
   }
 
   /// The type-erased core of parallel_for/parallel_for_chunks. Splits
-  /// [begin, end) into chunks of at least `grain` indices and dispatches
-  /// them through the ticket slot. Nested launches (from inside a chunk) and
-  /// launches racing another thread's launch run inline on the caller.
+  /// [begin, end) into equal chunks of max(grain, ceil(n / (4 × (size() +
+  /// 1)))) consecutive indices — at most 4 × (size() + 1) chunks — and
+  /// dispatches them through the ticket slot. Callers that need every item
+  /// claimable on its own past that cap launch one puller per thread and
+  /// share their own atomic item counter instead. Nested launches (from
+  /// inside a chunk) and launches racing another thread's launch run inline
+  /// on the caller.
   void run_chunked(std::size_t begin, std::size_t end, ChunkFn fn, void* ctx,
                    std::size_t grain);
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/rules.hpp"
@@ -236,9 +237,55 @@ TEST_P(Mcmm, MergedSummaryIsPerEndpointWorstCase) {
   EXPECT_EQ(solo.merged_summary(Mode::kSetup), solo.summary(Mode::kSetup, 0));
 }
 
-/// ScenarioBatch broadcasts each delta-set across the corners; per-corner
-/// summaries must be bit-identical to single-corner batches, and the
-/// merged scenario summary must follow the same worst-case fold.
+/// A resize with a wide early ripple: among the cells random_changelist
+/// could pick, the shallowest one, ties going to the cell whose output
+/// drives the most data arcs.
+gen::Resize shallow_high_fanout_resize(const Fixture& f) {
+  const netlist::Design& design = *f.gd.design;
+  gen::Resize best;
+  std::size_t best_fanout = 0;
+  int best_level = std::numeric_limits<int>::max();
+  for (std::size_t c = 0; c < design.num_cells(); ++c) {
+    const auto id = static_cast<netlist::CellId>(c);
+    const netlist::LibCell& lc = design.libcell_of(id);
+    if (netlist::is_sequential(lc.func) || !netlist::has_output(lc.func) ||
+        netlist::num_data_inputs(lc.func) == 0 || f.graph->is_clock_cell(id) ||
+        design.library().family(lc.func).size() < 2) {
+      continue;
+    }
+    const netlist::PinId out = design.output_pin(id);
+    const std::size_t fanout = f.graph->fanout(out).size();
+    const int level = f.graph->level_of(out);
+    if (level < best_level || (level == best_level && fanout > best_fanout)) {
+      const auto family = design.library().family(lc.func);
+      best = gen::Resize{id, family.back() != lc.id ? family.back()
+                                                    : family.front()};
+      best_fanout = fanout;
+      best_level = level;
+    }
+  }
+  return best;
+}
+
+void expect_same_endpoint_changes(
+    const std::vector<core::EndpointSlackChange>& a,
+    const std::vector<core::EndpointSlackChange>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].ep, b[i].ep) << what << " change " << i;
+    EXPECT_TRUE(same_bits(a[i].setup, b[i].setup)) << what << " change " << i;
+    EXPECT_TRUE(same_bits(a[i].hold, b[i].hold)) << what << " change " << i;
+  }
+}
+
+/// ScenarioBatch broadcasts each delta-set across the corners as one
+/// (scenario, corner) cell per pair. Both dispatch shapes run with hold and
+/// endpoint collection on: 16 scenarios, one of them a shallow high-fanout
+/// resize, and 2 scenarios, each under the scenario-parallel and the
+/// level-parallel strategy. Per-corner summaries must be bit-identical to
+/// single-corner batches, every work counter must be the sum of the
+/// single-corner ones, endpoint changes must be corner 0's, and the merged
+/// summary must be the one the engine reports after committing the deltas.
 TEST_P(Mcmm, ScenarioBatchCrossProductMatchesSingleCornerBatches) {
   const Fixture f(GetParam(), /*hold=*/true);
   const auto corners = three_corners();
@@ -246,36 +293,93 @@ TEST_P(Mcmm, ScenarioBatchCrossProductMatchesSingleCornerBatches) {
   multi.run_forward();
 
   util::Rng rng(GetParam() * 97 + 3);
-  const std::vector<gen::Resize> changes =
-      gen::random_changelist(*f.gd.design, *f.graph, rng, 4);
-  std::vector<std::vector<timing::ArcDelta>> scenarios;
+  std::vector<gen::Resize> changes{shallow_high_fanout_resize(f)};
+  ASSERT_NE(changes[0].cell, netlist::kNullCell);
+  for (const gen::Resize& rz :
+       gen::random_changelist(*f.gd.design, *f.graph, rng, 15)) {
+    changes.push_back(rz);
+  }
+  std::vector<std::vector<timing::ArcDelta>> all;
   for (const gen::Resize& rz : changes) {
-    scenarios.push_back(f.calc->estimate_eco(rz.cell, rz.new_libcell));
+    all.push_back(f.calc->estimate_eco(rz.cell, rz.new_libcell));
   }
 
-  core::ScenarioBatch batch(multi);
-  const std::vector<core::ScenarioResult> results = batch.evaluate(scenarios);
-  ASSERT_EQ(results.size(), scenarios.size());
-
+  std::vector<core::Engine> solos;
   for (std::size_t c = 0; c < corners.size(); ++c) {
-    core::Engine solo = f.make_engine({corners[c]}, /*hold=*/true);
-    solo.run_forward();
-    core::ScenarioBatch solo_batch(solo);
-    const auto solo_results = solo_batch.evaluate(scenarios);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].setup_by_corner.size(), corners.size());
-      EXPECT_EQ(results[i].setup_by_corner[c], solo_results[i].setup)
-          << "scenario " << i << " corner " << c;
-      EXPECT_EQ(results[i].hold_by_corner[c], solo_results[i].hold)
-          << "scenario " << i << " corner " << c;
+    solos.push_back(f.make_engine({corners[c]}, /*hold=*/true));
+    solos.back().run_forward();
+  }
+
+  for (const std::size_t num_scenarios : {std::size_t{16}, std::size_t{2}}) {
+    const std::vector<std::vector<timing::ArcDelta>> scenarios(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(num_scenarios));
+    std::vector<std::vector<core::ScenarioResult>> solo_results;
+    for (core::Engine& solo : solos) {
+      core::ScenarioBatch solo_batch(solo, {.collect_endpoints = true});
+      solo_results.push_back(solo_batch.evaluate(scenarios));
+    }
+
+    std::vector<std::vector<core::ScenarioResult>> by_strategy;
+    for (const core::ScenarioStrategy strategy :
+         {core::ScenarioStrategy::kScenarioParallel,
+          core::ScenarioStrategy::kLevelParallel}) {
+      core::ScenarioBatch batch(
+          multi, {.strategy = strategy, .collect_endpoints = true});
+      by_strategy.push_back(batch.evaluate(scenarios));
+    }
+
+    for (std::size_t st = 0; st < by_strategy.size(); ++st) {
+      const std::vector<core::ScenarioResult>& results = by_strategy[st];
+      ASSERT_EQ(results.size(), num_scenarios);
+      for (std::size_t i = 0; i < num_scenarios; ++i) {
+        const std::string what = "B=" + std::to_string(num_scenarios) +
+                                 " strategy " + std::to_string(st) +
+                                 " scenario " + std::to_string(i);
+        const core::ScenarioResult& r = results[i];
+        ASSERT_EQ(r.setup_by_corner.size(), corners.size()) << what;
+        ASSERT_EQ(r.hold_by_corner.size(), corners.size()) << what;
+        std::uint64_t frontier_pins = 0;
+        std::uint64_t early_terminations = 0;
+        std::uint64_t endpoints_evaluated = 0;
+        std::size_t overlay_bytes = 0;
+        for (std::size_t c = 0; c < corners.size(); ++c) {
+          const core::ScenarioResult& solo = solo_results[c][i];
+          EXPECT_EQ(r.setup_by_corner[c], solo.setup) << what << " corner " << c;
+          EXPECT_EQ(r.hold_by_corner[c], solo.hold) << what << " corner " << c;
+          frontier_pins += solo.frontier_pins;
+          early_terminations += solo.early_terminations;
+          endpoints_evaluated += solo.endpoints_evaluated;
+          overlay_bytes += solo.overlay_bytes;
+        }
+        EXPECT_EQ(r.frontier_pins, frontier_pins) << what;
+        EXPECT_EQ(r.early_terminations, early_terminations) << what;
+        EXPECT_EQ(r.endpoints_evaluated, endpoints_evaluated) << what;
+        EXPECT_EQ(r.overlay_bytes, overlay_bytes) << what;
+        expect_same_endpoint_changes(r.endpoint_changes,
+                                     solo_results[0][i].endpoint_changes, what);
+
+        const core::ScenarioResult& first = by_strategy[0][i];
+        EXPECT_EQ(r.setup, first.setup) << what;
+        EXPECT_EQ(r.hold, first.hold) << what;
+      }
     }
   }
 
+  // The shallow high-fanout resize is the heavy cell of the batch: it
+  // ripples at least as far as three quarters of the random resizes.
+  core::ScenarioBatch batch(multi);
+  const std::vector<core::ScenarioResult> results = batch.evaluate(all);
+  std::size_t lighter = 0;
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    if (results[i].frontier_pins <= results[0].frontier_pins) ++lighter;
+  }
+  EXPECT_GE(lighter * 4, (results.size() - 1) * 3);
+
   // Merged == what Engine reports after actually committing the deltas.
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+  for (std::size_t i = 0; i < all.size(); ++i) {
     core::Engine committed = f.make_engine(corners, /*hold=*/true);
     committed.run_forward();
-    committed.annotate(scenarios[i]);
+    committed.annotate(all[i]);
     committed.run_forward_incremental();
     EXPECT_EQ(results[i].setup, committed.merged_summary(Mode::kSetup))
         << "scenario " << i;
