@@ -78,26 +78,6 @@ EngineMetrics& engine_metrics() {
   return m;
 }
 
-/// Thread-local re-merge destination of the sparse pass: each worker
-/// re-merges a pin into this scratch, compares against the live store, and
-/// commits only on change. Amortized allocation; sized to the largest
-/// top_k seen on this thread.
-struct TopKScratch {
-  std::vector<float> arr, mu, sig;
-  std::vector<std::int32_t> sp;
-  std::int32_t cnt = 0;
-  void ensure(std::int32_t k) {
-    if (static_cast<std::int32_t>(arr.size()) < k) {
-      const auto n = static_cast<std::size_t>(k);
-      arr.resize(n);
-      mu.resize(n);
-      sig.resize(n);
-      sp.resize(n);
-    }
-  }
-};
-thread_local TopKScratch tls_scratch;
-
 }  // namespace
 
 std::vector<std::string> EngineOptions::validate() const {
@@ -170,10 +150,8 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
   clone_delays(reference);
   clone_sp_ep_attributes(reference);
 
-  dirty_pin_.assign(C_ * num_pins_, 0);
-  frontier_.resize(C_ * (level_start_.size() - 1));
-  dirty_level_.assign(C_, std::numeric_limits<std::size_t>::max());
-  dirty_eps_.resize(C_);
+  frontier_.resize(C_);
+  for (Frontier& f : frontier_) f.init(num_pins_, level_start_.size() - 1);
   recompute_aggregates();
 
   // Level-contiguous SoA layout: pins take plane positions in level order
@@ -438,6 +416,38 @@ void Engine::clone_sp_ep_attributes(const ref::GoldenSta& reference) {
   }
 }
 
+Engine::CornerAnnotation Engine::annotation(const timing::ArcDelta& d,
+                                            CornerId corner) const {
+  const auto arc = static_cast<std::size_t>(d.arc);
+  const float ds = corners_[static_cast<std::size_t>(corner)].delay_scale;
+  const float ss = corners_[static_cast<std::size_t>(corner)].sigma_scale;
+  CornerAnnotation a;
+  // For launch arcs the sink is the FF output pin, whose fanin-less merge
+  // re-reads the startpoint attributes.
+  a.sink = graph_->arc(d.arc).to;
+  a.slot = slot_of_arc_[arc];
+  if (a.slot >= 0) {
+    for (const std::size_t rf : {0U, 1U}) {
+      a.mu[rf] = scaled(d.mu[rf], ds);
+      a.sig[rf] = scaled(d.sigma[rf], ss);
+    }
+    return a;
+  }
+  a.sp = launch_sp_of_arc_[arc];
+  check(a.sp >= 0,
+        "Engine::annotate: arc is neither a data arc nor a launch arc "
+        "(clock-network arcs require re-initialization)");
+  // The launch delay folds into the startpoint's initial arrival: means
+  // add to the clock arrival, sigmas in quadrature.
+  const auto spi = static_cast<std::size_t>(a.sp);
+  for (const std::size_t rf : {0U, 1U}) {
+    const float dsig = scaled(d.sigma[rf], ss);
+    a.mu[rf] = sp_ck_mu_[spi] + scaled(d.mu[rf], ds);
+    a.sig[rf] = std::sqrt(sp_ck_sig2_[spi] + dsig * dsig);
+  }
+  return a;
+}
+
 void Engine::annotate(std::span<const timing::ArcDelta> deltas,
                       CornerId corner) {
   INSTA_CHECK(corner == kAllCorners ||
@@ -459,46 +469,20 @@ void Engine::annotate(std::span<const timing::ArcDelta> deltas,
     INSTA_DCHECK(std::isfinite(d.mu[0]) && std::isfinite(d.mu[1]) &&
                      d.sigma[0] >= 0.0 && d.sigma[1] >= 0.0,
                  "Engine::annotate: non-finite mean or negative sigma");
-    const auto arc = static_cast<std::size_t>(d.arc);
-    const std::int32_t slot = slot_of_arc_[arc];
-    {
-      // Seed the sparse frontier at the arc's sink pin in every targeted
-      // corner. For launch arcs the sink is the FF output pin, whose
-      // fanin-less merge re-reads the startpoint attributes updated below.
-      const PinId to = graph_->arc(d.arc).to;
-      const int lvl = graph_->level_of(to);
-      for (CornerId c = c0; c < c1; ++c) mark_dirty(to, lvl, c);
-    }
-    if (slot >= 0) {
-      for (CornerId c = c0; c < c1; ++c) {
-        const float ds = corners_[static_cast<std::size_t>(c)].delay_scale;
-        const float ss = corners_[static_cast<std::size_t>(c)].sigma_scale;
-        const std::size_t soff = slot_off(c);
-        for (const int rf : {0, 1}) {
-          const auto rfi = static_cast<std::size_t>(rf);
-          amu_[rfi][soff + static_cast<std::size_t>(slot)] =
-              scaled(d.mu[rfi], ds);
-          asig_[rfi][soff + static_cast<std::size_t>(slot)] =
-              scaled(d.sigma[rfi], ss);
-        }
-      }
-      continue;
-    }
-    const std::int32_t sp = launch_sp_of_arc_[arc];
-    check(sp >= 0,
-          "Engine::annotate: arc is neither a data arc nor a launch arc "
-          "(clock-network arcs require re-initialization)");
-    const auto spi = static_cast<std::size_t>(sp);
     for (CornerId c = c0; c < c1; ++c) {
-      const float ds = corners_[static_cast<std::size_t>(c)].delay_scale;
-      const float ss = corners_[static_cast<std::size_t>(c)].sigma_scale;
-      const std::size_t spoff = sp_off(c);
-      for (const int rf : {0, 1}) {
-        const auto rfi = static_cast<std::size_t>(rf);
-        const float dsig = scaled(d.sigma[rfi], ss);
-        sp_mu_[rfi][spoff + spi] = sp_ck_mu_[spi] + scaled(d.mu[rfi], ds);
-        sp_sig_[rfi][spoff + spi] =
-            std::sqrt(sp_ck_sig2_[spi] + dsig * dsig);
+      const CornerAnnotation a = annotation(d, c);
+      frontier_[static_cast<std::size_t>(c)].mark(a.sink,
+                                                  graph_->level_of(a.sink));
+      for (const std::size_t rf : {0U, 1U}) {
+        if (a.slot >= 0) {
+          const std::size_t at = slot_off(c) + static_cast<std::size_t>(a.slot);
+          amu_[rf][at] = a.mu[rf];
+          asig_[rf][at] = a.sig[rf];
+        } else {
+          const std::size_t at = sp_off(c) + static_cast<std::size_t>(a.sp);
+          sp_mu_[rf][at] = a.mu[rf];
+          sp_sig_[rf][at] = a.sig[rf];
+        }
       }
     }
   }
@@ -667,33 +651,14 @@ analysis::LintReport Engine::annotate_checked(
 
 // ---- Transaction ------------------------------------------------------------
 
-Engine::Transaction::Transaction(Engine& engine) : engine_(&engine) {
-  tns_ = engine.tns_cache_;
-  nviol_ = engine.nviol_cache_;
-  ths_ = engine.ths_cache_;
-  nhold_viol_ = engine.nhold_viol_cache_;
-  wns_ = engine.wns_cache_;
-  wns_any_ = engine.wns_any_;
-  wns_valid_ = engine.wns_valid_;
-  whs_ = engine.whs_cache_;
-  whs_any_ = engine.whs_any_;
-  whs_valid_ = engine.whs_valid_;
-}
+Engine::Transaction::Transaction(Engine& engine)
+    : engine_(&engine), aggregates_(engine.agg_) {}
 
 Engine::Transaction::Transaction(Transaction&& other) noexcept
     : engine_(other.engine_),
       undo_(std::move(other.undo_)),
       applied_(std::move(other.applied_)),
-      tns_(std::move(other.tns_)),
-      nviol_(std::move(other.nviol_)),
-      ths_(std::move(other.ths_)),
-      nhold_viol_(std::move(other.nhold_viol_)),
-      wns_(std::move(other.wns_)),
-      wns_any_(std::move(other.wns_any_)),
-      wns_valid_(std::move(other.wns_valid_)),
-      whs_(std::move(other.whs_)),
-      whs_any_(std::move(other.whs_any_)),
-      whs_valid_(std::move(other.whs_valid_)) {
+      aggregates_(std::move(other.aggregates_)) {
   other.engine_ = nullptr;
 }
 
@@ -804,24 +769,14 @@ void Engine::Transaction::rollback() {
                            static_cast<std::size_t>(u.sp)] = u.sig[c * 2 + rfi];
           }
         }
-        e.mark_dirty(u.sink, e.graph_->level_of(u.sink),
-                     static_cast<CornerId>(c));
+        e.frontier_[c].mark(u.sink, e.graph_->level_of(u.sink));
       }
     }
     e.run_forward_incremental();
-    // The sparse pass restored every slack bitwise; restoring the cache
+    // The sparse pass restored every slack bitwise; restoring the aggregate
     // snapshot on top also undoes the float drift of delta folding, so
     // aggregates come back exactly.
-    e.tns_cache_ = tns_;
-    e.nviol_cache_ = nviol_;
-    e.ths_cache_ = ths_;
-    e.nhold_viol_cache_ = nhold_viol_;
-    e.wns_cache_ = wns_;
-    e.wns_any_ = wns_any_;
-    e.wns_valid_ = wns_valid_;
-    e.whs_cache_ = whs_;
-    e.whs_any_ = whs_any_;
-    e.whs_valid_ = whs_valid_;
+    e.agg_ = aggregates_;
     undo_.clear();
   }
   applied_.clear();  // the edits no longer exist; there is nothing to replay
@@ -879,16 +834,18 @@ EngineState Engine::export_state() const {
   s.ep_worst_rf = ep_worst_rf_;
   s.ep_base_req = ep_base_req_;
   s.ep_hold_base = ep_hold_base_;
-  s.tns = tns_cache_;
-  s.nviol = nviol_cache_;
-  s.ths = ths_cache_;
-  s.nhold_viol = nhold_viol_cache_;
-  s.wns = wns_cache_;
-  s.wns_any = wns_any_;
-  s.wns_valid = wns_valid_;
-  s.whs = whs_cache_;
-  s.whs_any = whs_any_;
-  s.whs_valid = whs_valid_;
+  for (const CornerAggregates& a : agg_) {
+    s.tns.push_back(a.setup.tns);
+    s.nviol.push_back(a.setup.violations);
+    s.wns.push_back(a.setup.worst);
+    s.wns_any.push_back(a.setup.any ? 1 : 0);
+    s.wns_valid.push_back(a.setup.valid ? 1 : 0);
+    s.ths.push_back(a.hold.tns);
+    s.nhold_viol.push_back(a.hold.violations);
+    s.whs.push_back(a.hold.worst);
+    s.whs_any.push_back(a.hold.any ? 1 : 0);
+    s.whs_valid.push_back(a.hold.valid ? 1 : 0);
+  }
   return s;
 }
 
@@ -953,16 +910,19 @@ void Engine::import_state(const EngineState& s) {
   sized(s.slack, slack_, "slack plane size");
   sized(s.hold_slack, hold_slack_, "hold_slack plane size");
   sized(s.ep_worst_rf, ep_worst_rf_, "ep_worst_rf plane size");
-  sized(s.tns, tns_cache_, "tns cache size");
-  sized(s.nviol, nviol_cache_, "violation cache size");
-  sized(s.ths, ths_cache_, "ths cache size");
-  sized(s.nhold_viol, nhold_viol_cache_, "hold-violation cache size");
-  sized(s.wns, wns_cache_, "wns cache size");
-  sized(s.wns_any, wns_any_, "wns_any cache size");
-  sized(s.wns_valid, wns_valid_, "wns_valid cache size");
-  sized(s.whs, whs_cache_, "whs cache size");
-  sized(s.whs_any, whs_any_, "whs_any cache size");
-  sized(s.whs_valid, whs_valid_, "whs_valid cache size");
+  auto per_corner = [&](const auto& v, const char* what) {
+    require(v.size() == C_, what);
+  };
+  per_corner(s.tns, "tns cache size");
+  per_corner(s.nviol, "violation cache size");
+  per_corner(s.ths, "ths cache size");
+  per_corner(s.nhold_viol, "hold-violation cache size");
+  per_corner(s.wns, "wns cache size");
+  per_corner(s.wns_any, "wns_any cache size");
+  per_corner(s.wns_valid, "wns_valid cache size");
+  per_corner(s.whs, "whs cache size");
+  per_corner(s.whs_any, "whs_any cache size");
+  per_corner(s.whs_valid, "whs_valid cache size");
   // The merge kernels write as many destination entries as a parent list
   // holds, so a count outside [0, top_k] would index past a pin's lanes.
   auto counts_in_range = [&s](const std::vector<std::int32_t>& cnt) {
@@ -990,33 +950,16 @@ void Engine::import_state(const EngineState& s) {
   slack_ = s.slack;
   hold_slack_ = s.hold_slack;
   ep_worst_rf_ = s.ep_worst_rf;
-  tns_cache_ = s.tns;
-  nviol_cache_ = s.nviol;
-  ths_cache_ = s.ths;
-  nhold_viol_cache_ = s.nhold_viol;
-  wns_cache_ = s.wns;
-  wns_any_ = s.wns_any;
-  wns_valid_ = s.wns_valid;
-  whs_cache_ = s.whs;
-  whs_any_ = s.whs_any;
-  whs_valid_ = s.whs_valid;
+  for (std::size_t c = 0; c < C_; ++c) {
+    agg_[c].setup = {s.tns[c], s.nviol[c], s.wns[c], s.wns_any[c] != 0,
+                     s.wns_valid[c] != 0};
+    agg_[c].hold = {s.ths[c], s.nhold_viol[c], s.whs[c], s.whs_any[c] != 0,
+                    s.whs_valid[c] != 0};
+  }
 
   // The image replaced whatever was pending: drop any queued frontier state
   // so the engine is clean at the imported generation.
-  const std::size_t num_levels = level_start_.size() - 1;
-  for (CornerId c = 0; c < static_cast<CornerId>(C_); ++c) {
-    const std::size_t poff = pin_off(c);
-    for (std::size_t l = 0; l < num_levels; ++l) {
-      std::vector<PinId>& fr =
-          frontier_[static_cast<std::size_t>(c) * num_levels + l];
-      for (const PinId pin : fr) {
-        dirty_pin_[poff + static_cast<std::size_t>(pin)] = 0;
-      }
-      fr.clear();
-    }
-    dirty_eps_[static_cast<std::size_t>(c)].clear();
-  }
-  dirty_level_.assign(C_, std::numeric_limits<std::size_t>::max());
+  for (Frontier& f : frontier_) f.clear();
   full_dirty_ = false;
   generation_ = s.generation;
   // Every Top-K store may have changed: no backward weight survives, and
@@ -1030,95 +973,48 @@ void Engine::import_state(const EngineState& s) {
   last_pass_ = SparseStats{};
 }
 
-template <bool kEarly>
-void Engine::merge_pin_rf(PinId pin, int rf, CornerId corner,
-                          const TopKView& dst, ForwardCounters& fc) {
-  merge_pin_values<kEarly>(LiveValues(*this, corner), pin, rf, dst, fc);
+void Engine::flush_counters(const ForwardCounters& fc) {
+  EngineMetrics& em = engine_metrics();
+  em.pins.add(fc.pins);
+  em.arcs.add(fc.arcs);
+  em.merges.add(fc.merges);
+  em.prunes.add(fc.prunes);
+  em.endpoints.add(fc.endpoints);
+  em.cppr_lookups.add(fc.cppr_lookups);
+}
+
+TopKView Engine::live_list(bool early, PinId pin, int rf, CornerId corner) {
+  const std::size_t base = tk_off(corner) + entry_base(pin, rf);
+  std::int32_t& cnt =
+      (early ? tk2_cnt_ : tk_cnt_)[cnt_off(corner) + cnt_index(pin, rf)];
+  const auto k = static_cast<std::int32_t>(options_.top_k);
+  if (early) {
+    return {&tk2_arr_[base], &tk2_mu_[base], &tk2_sig_[base], &tk2_sp_[base],
+            k, &cnt};
+  }
+  return {&tk_arr_[base], &tk_mu_[base], &tk_sig_[base], &tk_sp_[base], k,
+          &cnt};
 }
 
 void Engine::process_pin(PinId pin, CornerId corner, ForwardCounters& fc) {
-  const auto k = static_cast<std::int32_t>(options_.top_k);
-  const std::size_t tkoff = tk_off(corner);
-  const std::size_t cntoff = cnt_off(corner);
   ++fc.pins;
   for (int rf = 0; rf < 2; ++rf) {
-    const std::size_t base = tkoff + entry_base(pin, rf);
-    std::int32_t& cnt = tk_cnt_[cntoff + cnt_index(pin, rf)];
-    const TopKView view{&tk_arr_[base], &tk_mu_[base], &tk_sig_[base],
-                        &tk_sp_[base], k, &cnt};
-    merge_pin_rf<false>(pin, rf, corner, view, fc);
-    INSTA_DCHECK(cnt <= k, "process_pin: Top-K count exceeds capacity");
-    INSTA_DCHECK(cnt == 0 || std::isfinite(tk_arr_[base]),
+    const TopKView view = live_list(false, pin, rf, corner);
+    merge_pin_values<false>(LiveValues(*this, corner), pin, rf, view, fc);
+    INSTA_DCHECK(*view.count <= view.k,
+                 "process_pin: Top-K count exceeds capacity");
+    INSTA_DCHECK(*view.count == 0 || std::isfinite(view.arr[0]),
                  "process_pin: non-finite worst arrival");
   }
 }
 
 void Engine::process_pin_early(PinId pin, CornerId corner,
                                ForwardCounters& fc) {
-  const auto k = static_cast<std::int32_t>(options_.top_k);
-  const std::size_t tkoff = tk_off(corner);
-  const std::size_t cntoff = cnt_off(corner);
   ++fc.pins;
   for (int rf = 0; rf < 2; ++rf) {
-    const std::size_t base = tkoff + entry_base(pin, rf);
-    std::int32_t& cnt = tk2_cnt_[cntoff + cnt_index(pin, rf)];
-    const TopKView view{&tk2_arr_[base], &tk2_mu_[base], &tk2_sig_[base],
-                        &tk2_sp_[base], k, &cnt};
-    merge_pin_rf<true>(pin, rf, corner, view, fc);
+    merge_pin_values<true>(LiveValues(*this, corner), pin, rf,
+                           live_list(true, pin, rf, corner), fc);
   }
-}
-
-bool Engine::reprocess_pin_sparse(PinId pin, CornerId corner,
-                                  ForwardCounters& fc) {
-  const auto k = static_cast<std::int32_t>(options_.top_k);
-  const std::size_t tkoff = tk_off(corner);
-  const std::size_t cntoff = cnt_off(corner);
-  TopKScratch& sc = tls_scratch;
-  sc.ensure(k);
-  const TopKView scratch{sc.arr.data(), sc.mu.data(), sc.sig.data(),
-                         sc.sp.data(), k, &sc.cnt};
-  bool changed = false;
-
-  ++fc.pins;
-  for (int rf = 0; rf < 2; ++rf) {
-    merge_pin_rf<false>(pin, rf, corner, scratch, fc);
-    const std::size_t base = tkoff + entry_base(pin, rf);
-    std::int32_t& cnt = tk_cnt_[cntoff + cnt_index(pin, rf)];
-    const TopKView live{&tk_arr_[base], &tk_mu_[base], &tk_sig_[base],
-                        &tk_sp_[base], k, &cnt};
-    if (!topk_equal(scratch, live)) {
-      topk_copy(live, scratch);
-      changed = true;
-    }
-  }
-  if (options_.enable_hold) {
-    ++fc.pins;
-    for (int rf = 0; rf < 2; ++rf) {
-      merge_pin_rf<true>(pin, rf, corner, scratch, fc);
-      const std::size_t base = tkoff + entry_base(pin, rf);
-      std::int32_t& cnt = tk2_cnt_[cntoff + cnt_index(pin, rf)];
-      const TopKView live{&tk2_arr_[base], &tk2_mu_[base], &tk2_sig_[base],
-                          &tk2_sp_[base], k, &cnt};
-      if (!topk_equal(scratch, live)) {
-        topk_copy(live, scratch);
-        changed = true;
-      }
-    }
-  }
-  return changed;
-}
-
-void Engine::mark_dirty(PinId pin, int lvl, CornerId corner) {
-  if (lvl < 0) return;
-  const std::size_t p = pin_off(corner) + static_cast<std::size_t>(pin);
-  if (dirty_pin_[p] != 0) return;
-  dirty_pin_[p] = 1;
-  const std::size_t num_levels = level_start_.size() - 1;
-  frontier_[static_cast<std::size_t>(corner) * num_levels +
-            static_cast<std::size_t>(lvl)]
-      .push_back(pin);
-  auto& dl = dirty_level_[static_cast<std::size_t>(corner)];
-  dl = std::min(dl, static_cast<std::size_t>(lvl));
 }
 
 void Engine::forward_from(std::size_t first_level) {
@@ -1161,10 +1057,7 @@ void Engine::forward_from(std::size_t first_level) {
           if (options_.enable_hold) process_pin_early(pin, c, fc);
         }
       }
-      em.pins.add(fc.pins);
-      em.arcs.add(fc.arcs);
-      em.merges.add(fc.merges);
-      em.prunes.add(fc.prunes);
+      flush_counters(fc);
     };
     if (options_.parallel && hi - lo >= threshold) {
       pool.parallel_for_chunks(lo, hi, run, grain);
@@ -1176,17 +1069,18 @@ void Engine::forward_from(std::size_t first_level) {
   INSTA_TRACE_SCOPE("engine.endpoints",
                     static_cast<std::int64_t>(num_eps));
   auto eval = [&](std::size_t a, std::size_t b) {
-    std::uint64_t lookups = 0;
+    ForwardCounters fc;
     for (std::size_t e = a; e < b; ++e) {
       for (CornerId c = 0; c < C; ++c) {
-        lookups += evaluate_endpoint(static_cast<EndpointId>(e), c);
+        fc.cppr_lookups += evaluate_endpoint(static_cast<EndpointId>(e), c);
         if (options_.enable_hold) {
-          lookups += evaluate_endpoint_hold(static_cast<EndpointId>(e), c);
+          fc.cppr_lookups +=
+              evaluate_endpoint_hold(static_cast<EndpointId>(e), c);
         }
       }
     }
-    em.endpoints.add((b - a) * C_);
-    em.cppr_lookups.add(lookups);
+    fc.endpoints = (b - a) * C_;
+    flush_counters(fc);
   };
   if (options_.parallel && num_eps >= threshold) {
     pool.parallel_for_chunks(0, num_eps, eval,
@@ -1198,19 +1092,7 @@ void Engine::forward_from(std::size_t first_level) {
   // Everything is now fresh: drop any queued frontier state in every corner
   // and rebuild the delta-maintained aggregates from scratch, so a full
   // pass always resets accumulated floating-point drift exactly.
-  for (CornerId c = 0; c < C; ++c) {
-    const std::size_t poff = pin_off(c);
-    for (std::size_t l = 0; l < num_levels; ++l) {
-      std::vector<PinId>& fr =
-          frontier_[static_cast<std::size_t>(c) * num_levels + l];
-      for (const PinId pin : fr) {
-        dirty_pin_[poff + static_cast<std::size_t>(pin)] = 0;
-      }
-      fr.clear();
-    }
-    dirty_eps_[static_cast<std::size_t>(c)].clear();
-  }
-  dirty_level_.assign(C_, std::numeric_limits<std::size_t>::max());
+  for (Frontier& f : frontier_) f.clear();
   full_dirty_ = false;
   // A dense sweep rewrites every Top-K store: no backward weight survives.
   invalidate_weights();
@@ -1223,17 +1105,50 @@ void Engine::forward_from(std::size_t first_level) {
   last_pass_.endpoints_evaluated = num_eps * C_;
 }
 
+/// The engine's live planes as walk_frontier()'s store: a changed pin is
+/// copied into the Top-K planes, a re-evaluated endpoint into slack_ /
+/// hold_slack_ / ep_worst_rf_, every drained pin's backward weights go
+/// stale, and the work lands in the engine.* counters and spans.
+struct Engine::LiveStore {
+  Engine& e;
+  CornerId corner;
+  LiveValues vals;
+  CornerAggregates& agg;
+
+  LiveStore(Engine& eng, CornerId c)
+      : e(eng),
+        corner(c),
+        vals(eng, c),
+        agg(eng.agg_[static_cast<std::size_t>(c)]) {}
+
+  void visit(PinId pin) { e.mark_weights_stale(pin, corner); }
+  void publish(PinId pin, WalkScratch& scratch, std::size_t i) {
+    const auto k = static_cast<std::int32_t>(e.options_.top_k);
+    const std::size_t lists = e.options_.enable_hold ? 4 : 2;
+    for (std::size_t j = 0; j < lists; ++j) {
+      topk_copy(e.live_list(j >= 2, pin, static_cast<int>(j % 2), corner),
+                scratch.slab.view(i * lists + j, k));
+    }
+  }
+  void set_endpoint(std::size_t i, EndpointId ep, const WalkScratch& scratch) {
+    const std::size_t at = e.ep_off(corner) + static_cast<std::size_t>(ep);
+    e.slack_[at] = scratch.setup[i];
+    e.ep_worst_rf_[at] = scratch.worst_rf[i];
+    if (e.options_.enable_hold) e.hold_slack_[at] = scratch.hold[i];
+  }
+  static void count(const ForwardCounters& fc) { flush_counters(fc); }
+  static telemetry::TraceSpan span(const char* name, std::size_t n) {
+    return telemetry::TraceSpan(name, static_cast<std::int64_t>(n));
+  }
+};
+
 void Engine::run_forward_sparse() {
-  EngineMetrics& em = engine_metrics();
-  em.incremental_passes.inc();
+  engine_metrics().incremental_passes.inc();
   last_pass_ = SparseStats{};
   last_pass_.sparse = true;
-  // Corners run back-to-back over fully independent frontier state: each
-  // corner's walk is then exactly the operation sequence of an independent
-  // single-corner engine, which keeps the order-sensitive double-precision
-  // TNS delta folds bit-identical to C separate engines. The thread-local
-  // scratch and changed_flags_ are safely shared because corners are
-  // serial with respect to each other.
+  // Corners run back-to-back, each over its own frontier: every corner's
+  // walk is then exactly the operation sequence of an independent
+  // single-corner engine. walk_ is shared because corners are serial.
   for (CornerId c = 0; c < static_cast<CornerId>(C_); ++c) {
     run_forward_sparse_corner(c);
   }
@@ -1242,126 +1157,21 @@ void Engine::run_forward_sparse() {
 void Engine::run_forward_sparse_corner(CornerId corner) {
   INSTA_TRACE_SCOPE("engine.forward_sparse",
                     static_cast<std::int64_t>(corner));
+  LiveStore st(*this, corner);
+  const WalkStats stats = walk_frontier(
+      st, frontier_[static_cast<std::size_t>(corner)], walk_,
+      options_.parallel);
+  const std::size_t skipped = ep_pin_.size() - stats.endpoints;
+  last_pass_.levels_touched += stats.levels;
+  last_pass_.frontier_pins += stats.frontier_pins;
+  last_pass_.early_terminations += stats.early_terminations;
+  last_pass_.endpoints_evaluated += stats.endpoints;
+  last_pass_.endpoints_skipped += skipped;
   EngineMetrics& em = engine_metrics();
-  auto& pool = util::ThreadPool::global();
-  const std::size_t num_levels = level_start_.size() - 1;
-  const auto threshold = static_cast<std::size_t>(options_.parallel_threshold);
-  const auto grain = static_cast<std::size_t>(options_.parallel_grain);
-  const std::size_t cc = static_cast<std::size_t>(corner);
-  const std::size_t poff = pin_off(corner);
-  const std::size_t eoff = ep_off(corner);
-  std::vector<EndpointId>& deps = dirty_eps_[cc];
-  deps.clear();
-
-  for (std::size_t l = std::min(dirty_level_[cc], num_levels); l < num_levels;
-       ++l) {
-    std::vector<PinId>& fr = frontier_[cc * num_levels + l];
-    if (fr.empty()) continue;
-    INSTA_TRACE_SCOPE("engine.sparse_level",
-                      static_cast<std::int64_t>(fr.size()));
-    em.levels.inc();
-    ++last_pass_.levels_touched;
-
-    // Phase 1 (parallel): re-merge every dirty pin of this level into
-    // thread-local scratch, committing only changed stores. Each chunk
-    // writes a disjoint changed_flags_ range; no shared mutable state.
-    changed_flags_.assign(fr.size(), 0);
-    auto run = [&](std::size_t a, std::size_t b) {
-      ForwardCounters fc;
-      for (std::size_t i = a; i < b; ++i) {
-        changed_flags_[i] = reprocess_pin_sparse(fr[i], corner, fc) ? 1 : 0;
-      }
-      em.pins.add(fc.pins);
-      em.arcs.add(fc.arcs);
-      em.merges.add(fc.merges);
-      em.prunes.add(fc.prunes);
-    };
-    if (options_.parallel && fr.size() >= threshold) {
-      pool.parallel_for_chunks(std::size_t{0}, fr.size(), run, grain);
-    } else {
-      run(0, fr.size());
-    }
-
-    // Phase 2 (serial scatter): a changed pin dirties its fanout (always at
-    // strictly deeper levels) and queues its endpoint; an unchanged pin
-    // terminates the ripple here. Serial keeps the frontier order
-    // deterministic and the dirty flags race-free.
-    std::uint64_t early = 0;
-    for (std::size_t i = 0; i < fr.size(); ++i) {
-      const auto p = static_cast<std::size_t>(fr[i]);
-      dirty_pin_[poff + p] = 0;
-      // Every frontier pin's backward weights are suspect: it was queued
-      // either by an arc annotation (its fanin delays changed) or by a
-      // parent whose Top-K store changed (its candidate inputs changed).
-      mark_weights_stale(fr[i], corner);
-      if (changed_flags_[i] == 0) {
-        ++early;
-        continue;
-      }
-      if (ep_of_pin_[p] >= 0) {
-        deps.push_back(static_cast<EndpointId>(ep_of_pin_[p]));
-      }
-      const std::int32_t os = fo_start_[p];
-      const std::int32_t oe = fo_start_[p + 1];
-      for (std::int32_t o = os; o < oe; ++o) {
-        const PinId child = fo_to_[static_cast<std::size_t>(o)];
-        if (dirty_pin_[poff + static_cast<std::size_t>(child)] != 0) continue;
-        mark_dirty(child, graph_->level_of(child), corner);
-      }
-    }
-    last_pass_.frontier_pins += fr.size();
-    last_pass_.early_terminations += early;
-    em.frontier_pins.add(fr.size());
-    em.early_terminations.add(early);
-    fr.clear();
-  }
-  dirty_level_[cc] = std::numeric_limits<std::size_t>::max();
-
-  // Phase 3: delta endpoint evaluation — only the endpoints this corner's
-  // frontier actually reached. Old slacks are snapshotted so the change can
-  // be folded into the corner's TNS/WNS caches.
-  const std::size_t nd = deps.size();
-  const std::size_t num_eps = ep_pin_.size();
-  INSTA_TRACE_SCOPE("engine.sparse_endpoints",
-                    static_cast<std::int64_t>(nd));
-  if (nd != 0) {
-    old_slack_scratch_.resize(nd);
-    if (options_.enable_hold) old_hold_scratch_.resize(nd);
-    for (std::size_t i = 0; i < nd; ++i) {
-      const auto e = static_cast<std::size_t>(deps[i]);
-      old_slack_scratch_[i] = slack_[eoff + e];
-      if (options_.enable_hold) old_hold_scratch_[i] = hold_slack_[eoff + e];
-    }
-    auto eval = [&](std::size_t a, std::size_t b) {
-      std::uint64_t lookups = 0;
-      for (std::size_t i = a; i < b; ++i) {
-        lookups += evaluate_endpoint(deps[i], corner);
-        if (options_.enable_hold) {
-          lookups += evaluate_endpoint_hold(deps[i], corner);
-        }
-      }
-      em.endpoints.add(b - a);
-      em.cppr_lookups.add(lookups);
-    };
-    if (options_.parallel && nd >= threshold) {
-      pool.parallel_for_chunks(
-          std::size_t{0}, nd, eval,
-          static_cast<std::size_t>(options_.endpoint_grain));
-    } else {
-      eval(0, nd);
-    }
-    for (std::size_t i = 0; i < nd; ++i) {
-      const auto e = static_cast<std::size_t>(deps[i]);
-      apply_setup_delta(corner, old_slack_scratch_[i], slack_[eoff + e]);
-      if (options_.enable_hold) {
-        apply_hold_delta(corner, old_hold_scratch_[i], hold_slack_[eoff + e]);
-      }
-    }
-  }
-  deps.clear();
-  last_pass_.endpoints_evaluated += nd;
-  last_pass_.endpoints_skipped += num_eps - nd;
-  em.endpoints_skipped.add(num_eps - nd);
+  em.levels.add(stats.levels);
+  em.frontier_pins.add(stats.frontier_pins);
+  em.early_terminations.add(stats.early_terminations);
+  em.endpoints_skipped.add(skipped);
 }
 
 void Engine::run_forward() {
@@ -1414,190 +1224,110 @@ std::uint64_t Engine::evaluate_endpoint_hold(EndpointId ep, CornerId corner) {
   return ev.lookups;
 }
 
-namespace {
-/// Scans one corner's slack plane into (worst, any) — shared by the lazy
-/// wns/whs rebuilds and recompute_aggregates.
-std::pair<float, bool> worst_of(std::span<const float> slacks) {
-  float w = 0.0f;
-  bool any = false;
+void Engine::SlackAggregate::fold(float oldv, float newv) {
+  if (oldv == newv) return;
+  if (std::isfinite(oldv) && oldv < 0.0f) {
+    tns -= static_cast<double>(oldv);
+    --violations;
+  }
+  if (std::isfinite(newv) && newv < 0.0f) {
+    tns += static_cast<double>(newv);
+    ++violations;
+  }
+  if (!valid) return;
+  if (std::isfinite(newv) && (!any || newv <= worst)) {
+    worst = newv;
+    any = true;
+  } else if (any && std::isfinite(oldv) && oldv <= worst) {
+    // The worst slack may have just improved; rescan lazily on read.
+    valid = false;
+  }
+}
+
+void Engine::SlackAggregate::rebuild(std::span<const float> slacks) {
+  tns = 0.0;
+  violations = 0;
   for (const float s : slacks) {
-    if (!std::isfinite(s)) continue;
-    if (!any || s < w) {
-      w = s;
-      any = true;
+    if (std::isfinite(s) && s < 0.0f) {
+      tns += static_cast<double>(s);
+      ++violations;
     }
   }
-  return {w, any};
+  valid = false;
+  settle(slacks.size(), [slacks](std::size_t e) { return slacks[e]; });
 }
-}  // namespace
 
 void Engine::recompute_aggregates() {
   const std::size_t num_eps = ep_pin_.size();
-  tns_cache_.assign(C_, 0.0);
-  nviol_cache_.assign(C_, 0);
-  wns_cache_.assign(C_, 0.0f);
-  wns_any_.assign(C_, 0);
-  wns_valid_.assign(C_, 1);
-  ths_cache_.assign(C_, 0.0);
-  nhold_viol_cache_.assign(C_, 0);
-  whs_cache_.assign(C_, 0.0f);
-  whs_any_.assign(C_, 0);
-  whs_valid_.assign(C_, 1);
+  agg_.assign(C_, CornerAggregates{});
   for (std::size_t c = 0; c < C_; ++c) {
     const std::size_t eoff = ep_off(static_cast<CornerId>(c));
-    for (std::size_t e = 0; e < num_eps; ++e) {
-      const float s = slack_[eoff + e];
-      if (std::isfinite(s) && s < 0.0f) {
-        tns_cache_[c] += static_cast<double>(s);
-        ++nviol_cache_[c];
-      }
-    }
-    const auto [w, any] =
-        worst_of(std::span<const float>(slack_.data() + eoff, num_eps));
-    wns_cache_[c] = w;
-    wns_any_[c] = any ? 1 : 0;
+    agg_[c].setup.rebuild({slack_.data() + eoff, num_eps});
     if (!hold_slack_.empty()) {
-      for (std::size_t e = 0; e < num_eps; ++e) {
-        const float s = hold_slack_[eoff + e];
-        if (std::isfinite(s) && s < 0.0f) {
-          ths_cache_[c] += static_cast<double>(s);
-          ++nhold_viol_cache_[c];
-        }
-      }
-      const auto [hw, hany] = worst_of(
-          std::span<const float>(hold_slack_.data() + eoff, num_eps));
-      whs_cache_[c] = hw;
-      whs_any_[c] = hany ? 1 : 0;
+      agg_[c].hold.rebuild({hold_slack_.data() + eoff, num_eps});
     }
   }
 }
 
-void Engine::apply_setup_delta(CornerId corner, float oldv, float newv) {
-  if (oldv == newv) return;
+const Engine::SlackAggregate& Engine::settled(Mode mode,
+                                              CornerId corner) const {
   const auto c = static_cast<std::size_t>(corner);
-  if (std::isfinite(oldv) && oldv < 0.0f) {
-    tns_cache_[c] -= static_cast<double>(oldv);
-    --nviol_cache_[c];
-  }
-  if (std::isfinite(newv) && newv < 0.0f) {
-    tns_cache_[c] += static_cast<double>(newv);
-    ++nviol_cache_[c];
-  }
-  if (wns_valid_[c] == 0) return;
-  if (std::isfinite(newv) && (wns_any_[c] == 0 || newv <= wns_cache_[c])) {
-    wns_cache_[c] = newv;
-    wns_any_[c] = 1;
-  } else if (wns_any_[c] != 0 && std::isfinite(oldv) &&
-             oldv <= wns_cache_[c]) {
-    // The cached minimum may have just improved; rebuild lazily on read.
-    wns_valid_[c] = 0;
-  }
-}
-
-void Engine::apply_hold_delta(CornerId corner, float oldv, float newv) {
-  if (oldv == newv) return;
-  const auto c = static_cast<std::size_t>(corner);
-  if (std::isfinite(oldv) && oldv < 0.0f) {
-    ths_cache_[c] -= static_cast<double>(oldv);
-    --nhold_viol_cache_[c];
-  }
-  if (std::isfinite(newv) && newv < 0.0f) {
-    ths_cache_[c] += static_cast<double>(newv);
-    ++nhold_viol_cache_[c];
-  }
-  if (whs_valid_[c] == 0) return;
-  if (std::isfinite(newv) && (whs_any_[c] == 0 || newv <= whs_cache_[c])) {
-    whs_cache_[c] = newv;
-    whs_any_[c] = 1;
-  } else if (whs_any_[c] != 0 && std::isfinite(oldv) &&
-             oldv <= whs_cache_[c]) {
-    whs_valid_[c] = 0;
-  }
+  SlackAggregate& a = mode == Mode::kSetup ? agg_[c].setup : agg_[c].hold;
+  const std::vector<float>& plane =
+      mode == Mode::kSetup ? slack_ : hold_slack_;
+  const std::size_t eoff = ep_off(corner);
+  a.settle(ep_pin_.size(),
+           [&plane, eoff](std::size_t e) { return plane[eoff + e]; });
+  return a;
 }
 
 double Engine::ths(CornerId corner) const {
-  return ths_cache_[static_cast<std::size_t>(corner)];
+  return agg_[static_cast<std::size_t>(corner)].hold.tns;
 }
 
 double Engine::whs(CornerId corner) const {
-  const auto c = static_cast<std::size_t>(corner);
-  if (whs_valid_[c] == 0) {
-    const auto [w, any] = worst_of(std::span<const float>(
-        hold_slack_.data() + ep_off(corner), ep_pin_.size()));
-    whs_cache_[c] = w;
-    whs_any_[c] = any ? 1 : 0;
-    whs_valid_[c] = 1;
-  }
-  return whs_any_[c] != 0 ? static_cast<double>(whs_cache_[c]) : 0.0;
+  return settled(Mode::kHold, corner).summary().wns;
 }
 
 int Engine::num_hold_violations(CornerId corner) const {
-  return nhold_viol_cache_[static_cast<std::size_t>(corner)];
+  return agg_[static_cast<std::size_t>(corner)].hold.violations;
 }
 
 double Engine::tns(CornerId corner) const {
-  return tns_cache_[static_cast<std::size_t>(corner)];
+  return agg_[static_cast<std::size_t>(corner)].setup.tns;
 }
 
 double Engine::wns(CornerId corner) const {
-  const auto c = static_cast<std::size_t>(corner);
-  if (wns_valid_[c] == 0) {
-    const auto [w, any] = worst_of(std::span<const float>(
-        slack_.data() + ep_off(corner), ep_pin_.size()));
-    wns_cache_[c] = w;
-    wns_any_[c] = any ? 1 : 0;
-    wns_valid_[c] = 1;
-  }
-  return wns_any_[c] != 0 ? static_cast<double>(wns_cache_[c]) : 0.0;
+  return settled(Mode::kSetup, corner).summary().wns;
 }
 
 int Engine::num_violations(CornerId corner) const {
-  return nviol_cache_[static_cast<std::size_t>(corner)];
+  return agg_[static_cast<std::size_t>(corner)].setup.violations;
 }
 
 SlackSummary Engine::summary(Mode mode, CornerId corner) const {
   check(corner >= 0 && static_cast<std::size_t>(corner) < C_,
         "Engine::summary: corner id " + std::to_string(corner) +
             " out of range [0, " + std::to_string(C_) + ")");
-  if (mode == Mode::kSetup) {
-    return SlackSummary{tns(corner), wns(corner), num_violations(corner)};
-  }
-  check(options_.enable_hold,
+  check(mode == Mode::kSetup || options_.enable_hold,
         "Engine::summary(Mode::kHold): engine was built without enable_hold");
-  return SlackSummary{ths(corner), whs(corner), num_hold_violations(corner)};
+  return settled(mode, corner).summary();
 }
 
-SlackSummary Engine::merged_summary(Mode mode) const {
-  if (mode == Mode::kHold) {
-    check(options_.enable_hold,
-          "Engine::merged_summary(Mode::kHold): engine was built without "
-          "enable_hold");
-  }
-  std::uint64_t& cached_gen =
-      mode == Mode::kSetup ? merged_setup_gen_ : merged_hold_gen_;
-  SlackSummary& cached =
-      mode == Mode::kSetup ? merged_setup_cache_ : merged_hold_cache_;
-  if (cached_gen == generation_) return cached;
-  if (C_ == 1) {
-    cached = summary(mode, 0);
-    cached_gen = generation_;
-    return cached;
-  }
-  const float* base =
-      mode == Mode::kSetup ? slack_.data() : hold_slack_.data();
+SlackSummary Engine::merged_scan(const float* planes) const {
   const std::size_t num_eps = ep_pin_.size();
   double tns = 0.0;
   float worst = 0.0f;
   bool any = false;
   int violations = 0;
-  // Deterministic endpoint-major scan: the merged slack of an endpoint is
-  // its worst finite slack over every corner (a corner where the endpoint
-  // is unconstrained contributes nothing).
+  // The merged slack of an endpoint is its worst finite slack over every
+  // corner (a corner where the endpoint is unconstrained contributes
+  // nothing).
   for (std::size_t e = 0; e < num_eps; ++e) {
     float m = kInf;
     bool finite = false;
     for (std::size_t c = 0; c < C_; ++c) {
-      const float s = base[c * num_eps + e];
+      const float s = planes[c * num_eps + e];
       if (!std::isfinite(s)) continue;
       if (!finite || s < m) m = s;
       finite = true;
@@ -1612,8 +1342,23 @@ SlackSummary Engine::merged_summary(Mode mode) const {
       any = true;
     }
   }
-  cached = SlackSummary{tns, any ? static_cast<double>(worst) : 0.0,
-                        violations};
+  return SlackSummary{tns, any ? static_cast<double>(worst) : 0.0, violations};
+}
+
+SlackSummary Engine::merged_summary(Mode mode) const {
+  if (mode == Mode::kHold) {
+    check(options_.enable_hold,
+          "Engine::merged_summary(Mode::kHold): engine was built without "
+          "enable_hold");
+  }
+  std::uint64_t& cached_gen =
+      mode == Mode::kSetup ? merged_setup_gen_ : merged_hold_gen_;
+  SlackSummary& cached =
+      mode == Mode::kSetup ? merged_setup_cache_ : merged_hold_cache_;
+  if (cached_gen == generation_) return cached;
+  cached = C_ == 1 ? summary(mode, 0)
+                   : merged_scan(mode == Mode::kSetup ? slack_.data()
+                                                      : hold_slack_.data());
   cached_gen = generation_;
   return cached;
 }
@@ -1950,10 +1695,12 @@ std::size_t Engine::memory_bytes() const {
        sizeof(std::int32_t);
   b += (slack_.capacity() + hold_slack_.capacity()) * sizeof(float);
   b += ep_worst_rf_.capacity();
-  b += dirty_pin_.capacity() + changed_flags_.capacity() + w_stale_.capacity();
+  b += walk_.changed.capacity() + w_stale_.capacity();
   for (const auto& ws : w_stale_pins_) b += ws.capacity() * sizeof(PinId);
-  for (const auto& fr : frontier_) b += fr.capacity() * sizeof(PinId);
-  for (const auto& de : dirty_eps_) b += de.capacity() * sizeof(EndpointId);
+  for (const Frontier& f : frontier_) {
+    b += f.dirty.capacity() + f.eps.capacity() * sizeof(EndpointId);
+    for (const auto& l : f.levels) b += l.capacity() * sizeof(PinId);
+  }
   return b;
 }
 

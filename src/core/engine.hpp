@@ -18,6 +18,7 @@
 #include "timing/types.hpp"
 #include "util/memory.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace insta::analysis {
 class LintReport;  // analysis/diagnostics.hpp
@@ -204,6 +205,8 @@ struct SlackSummary {
 /// same vectorized kernels. Per-corner queries take a CornerId; merged
 /// (cross-corner worst-case) summaries come from merged_summary().
 class Engine {
+  struct CornerAggregates;  // defined in the private section below
+
  public:
   /// One-time initialization from a golden reference engine on which
   /// update_full() has been run.
@@ -338,20 +341,10 @@ class Engine {
     Engine* engine_ = nullptr;
     std::vector<Undo> undo_;
     std::vector<AppliedDeltas> applied_;
-    // Per-corner aggregate-cache snapshot taken at begin_edit(); restored
-    // verbatim on rollback (the slack stores themselves restore
-    // bit-identically through the sparse pass, so the snapshot stays
-    // consistent with them).
-    std::vector<double> tns_;
-    std::vector<int> nviol_;
-    std::vector<double> ths_;
-    std::vector<int> nhold_viol_;
-    std::vector<float> wns_;
-    std::vector<std::uint8_t> wns_any_;
-    std::vector<std::uint8_t> wns_valid_;
-    std::vector<float> whs_;
-    std::vector<std::uint8_t> whs_any_;
-    std::vector<std::uint8_t> whs_valid_;
+    // Per-corner aggregate snapshot taken at begin_edit(); restored verbatim
+    // on rollback (the slack stores themselves restore bit-identically
+    // through the sparse pass, so the snapshot stays consistent with them).
+    std::vector<CornerAggregates> aggregates_;
   };
 
   /// Opens a Transaction. Requires clean timing (run a forward pass first)
@@ -398,10 +391,8 @@ class Engine {
   /// would be a no-op). Exposed for dirty-bookkeeping tests.
   [[nodiscard]] bool timing_clean() const {
     if (full_dirty_) return false;
-    for (const std::size_t dl : dirty_level_) {
-      if (dl != std::numeric_limits<std::size_t>::max()) return false;
-    }
-    return true;
+    return std::all_of(frontier_.begin(), frontier_.end(),
+                       [](const Frontier& f) { return f.clean(); });
   }
 
   /// Monotonic count of completed forward passes (full or sparse). Two
@@ -560,9 +551,9 @@ class Engine {
   [[nodiscard]] std::size_t num_levels() const { return level_start_.size() - 1; }
 
  private:
-  /// ScenarioBatch runs the engine's own kernels against copy-on-write
-  /// overlays of the flat stores; it is a read-only friend of everything
-  /// the forward pass reads.
+  /// ScenarioBatch runs the engine's own annotate expressions and frontier
+  /// walk against copy-on-write overlays of the flat stores; it is a
+  /// read-only friend of everything the forward pass reads.
   friend class ScenarioBatch;
 
   void clone_structure(const ref::GoldenSta& reference);
@@ -580,19 +571,24 @@ class Engine {
   }
 
   /// Per-chunk instrumentation accumulator: plain integers bumped inline in
-  /// the merge kernels, flushed to the metrics registry once per chunk.
+  /// the merge and endpoint kernels, flushed to the metrics registry once
+  /// per chunk (flush_counters).
   struct ForwardCounters {
     std::uint64_t pins = 0;    ///< pins processed (per transition pass)
     std::uint64_t arcs = 0;    ///< fanin arcs traversed
     std::uint64_t merges = 0;  ///< Top-K insert attempts
     std::uint64_t prunes = 0;  ///< inserts rejected by the full-list filter
+    std::uint64_t endpoints = 0;     ///< endpoint evaluations
+    std::uint64_t cppr_lookups = 0;  ///< CPPR credit lookups
   };
+  static void flush_counters(const ForwardCounters& fc);
 
   /// Value-access adapter of the shared kernels below, reading one
-  /// corner's plane of the engine's live stores. ScenarioBatch supplies an
-  /// overlay-first twin with the same interface; the kernels' instruction
-  /// sequences are identical under both, which is what makes scenario
-  /// results bit-identical to sequential passes. The corner offsets are
+  /// corner's plane of the engine's live stores. ScenarioBatch's
+  /// OverlayValues reads a scenario's overlays first and falls back to one
+  /// of these; the kernels' instruction sequences are identical under both,
+  /// which is what makes scenario results bit-identical to sequential
+  /// passes. The corner offsets are
   /// resolved once at construction so the hot-loop reads stay one indexed
   /// load each.
   struct LiveValues {
@@ -645,36 +641,199 @@ class Engine {
     std::uint64_t lookups = 0;
   };
 
+  /// The dirty frontier of one corner: annotate() queues the sinks of the
+  /// edited arcs, and walk_frontier() drains it level by level. The engine
+  /// keeps one per corner, a ScenarioBatch workspace one for the cell it
+  /// runs. Fully independent per-corner frontiers are a correctness
+  /// decision: one shared worklist would interleave the corners'
+  /// dirty-endpoint orders, and the double-precision TNS delta folds are
+  /// order-sensitive, so the C-corner engine would drift from C independent
+  /// engines in the last bit.
+  struct Frontier {
+    std::vector<std::uint8_t> dirty;                  ///< per pin: queued
+    std::vector<std::vector<netlist::PinId>> levels;  ///< per level worklist
+    /// Shallowest level with a queued pin; SIZE_MAX when clean.
+    std::size_t first = std::numeric_limits<std::size_t>::max();
+    /// Endpoints the last walk reached, in the order it reached them.
+    std::vector<timing::EndpointId> eps;
+
+    void init(std::size_t num_pins, std::size_t num_levels) {
+      dirty.assign(num_pins, 0);
+      levels.resize(num_levels);
+    }
+    /// Queues `pin` (at graph level `lvl`; unleveled pins are ignored).
+    void mark(netlist::PinId pin, int lvl) {
+      if (lvl < 0) return;
+      const auto p = static_cast<std::size_t>(pin);
+      if (dirty[p] != 0) return;
+      dirty[p] = 1;
+      levels[static_cast<std::size_t>(lvl)].push_back(pin);
+      first = std::min(first, static_cast<std::size_t>(lvl));
+    }
+    /// Drops every queued pin and the reached endpoints.
+    void clear() {
+      for (std::vector<netlist::PinId>& l : levels) {
+        for (const netlist::PinId pin : l) {
+          dirty[static_cast<std::size_t>(pin)] = 0;
+        }
+        l.clear();
+      }
+      first = std::numeric_limits<std::size_t>::max();
+      eps.clear();
+    }
+    [[nodiscard]] bool clean() const {
+      return first == std::numeric_limits<std::size_t>::max();
+    }
+  };
+
+  /// Packed Top-K lists of capacity k: list c owns entries [c * k, +k) and
+  /// count c. The walk's merge slab and a scenario's private pin lists.
+  struct TopKLists {
+    std::vector<float> arr, mu, sig;
+    std::vector<std::int32_t> sp, cnt;
+    /// Grows (never shrinks) to hold `lists` lists of capacity k.
+    void ensure(std::size_t lists, std::int32_t k) {
+      if (cnt.size() >= lists) return;
+      const std::size_t entries = lists * static_cast<std::size_t>(k);
+      arr.resize(entries);
+      mu.resize(entries);
+      sig.resize(entries);
+      sp.resize(entries);
+      cnt.resize(lists);
+    }
+    [[nodiscard]] TopKView view(std::size_t c, std::int32_t k) {
+      const std::size_t b = c * static_cast<std::size_t>(k);
+      return {&arr[b], &mu[b], &sig[b], &sp[b], k, &cnt[c]};
+    }
+    [[nodiscard]] TopKConstView const_view(std::size_t c,
+                                           std::int32_t k) const {
+      const std::size_t b = c * static_cast<std::size_t>(k);
+      return {&arr[b], &mu[b], &sig[b], &sp[b], cnt[c]};
+    }
+  };
+
+  /// Scratch of walk_frontier(). Frontier pin i of the current level
+  /// re-merges into slab lists (i * modes + m) * 2 + rf, so parallel chunks
+  /// write disjoint ranges; setup/hold/worst_rf hold the re-evaluated
+  /// endpoints' results, parallel to Frontier::eps.
+  struct WalkScratch {
+    TopKLists slab;
+    std::vector<std::uint8_t> changed;  ///< per frontier slot
+    std::vector<float> setup, hold;
+    std::vector<std::uint8_t> worst_rf;
+  };
+
+  /// Work done by one walk_frontier() call.
+  struct WalkStats {
+    std::uint64_t levels = 0;
+    std::uint64_t frontier_pins = 0;
+    std::uint64_t early_terminations = 0;
+    std::uint64_t endpoints = 0;
+  };
+
+  /// Delta-maintained metrics of one corner's slack plane in one mode.
+  /// TNS and the violation count follow every endpoint change (fold); the
+  /// worst slack follows it too until the endpoint holding it may have
+  /// improved, after which it is rescanned lazily on the next read (settle).
+  struct SlackAggregate {
+    double tns = 0.0;
+    int violations = 0;
+    float worst = 0.0f;
+    bool any = false;    ///< some endpoint has a finite slack
+    bool valid = true;   ///< `worst`/`any` are current
+    /// Folds one endpoint's slack change from `oldv` to `newv`.
+    void fold(float oldv, float newv);
+    /// Exact rebuild over a whole slack plane.
+    void rebuild(std::span<const float> slacks);
+    /// Rescans `worst` over `n` endpoints when it is not valid;
+    /// slack_of(e) is endpoint e's visible slack.
+    template <typename SlackOf>
+    void settle(std::size_t n, const SlackOf& slack_of) {
+      if (valid) return;
+      float w = 0.0f;
+      bool found = false;
+      for (std::size_t e = 0; e < n; ++e) {
+        const float s = slack_of(e);
+        if (!std::isfinite(s)) continue;
+        if (!found || s < w) {
+          w = s;
+          found = true;
+        }
+      }
+      worst = w;
+      any = found;
+      valid = true;
+    }
+    /// Requires valid (settle first).
+    [[nodiscard]] SlackSummary summary() const {
+      return {tns, any ? static_cast<double>(worst) : 0.0, violations};
+    }
+  };
+  struct CornerAggregates {
+    SlackAggregate setup;
+    SlackAggregate hold;  ///< stays zero without enable_hold
+  };
+
+  /// One delta's corner-local values: the sink to queue, and the scaled
+  /// (mu, sigma) per transition for either a data arc's fanin slot or a
+  /// launch arc's startpoint. The one definition of the annotate
+  /// expressions; annotate() stores them in the live planes and
+  /// ScenarioBatch in a scenario's overrides.
+  struct CornerAnnotation {
+    netlist::PinId sink = netlist::kNullPin;
+    std::int32_t slot = -1;  ///< data-arc fanin slot, or -1
+    std::int32_t sp = -1;    ///< launch-arc startpoint, or -1
+    std::array<float, 2> mu{};
+    std::array<float, 2> sig{};
+  };
+  [[nodiscard]] CornerAnnotation annotation(const timing::ArcDelta& d,
+                                            CornerId corner) const;
+
+  /// The incremental pass of one corner: drains `fr` level by level, then
+  /// re-evaluates the endpoints it reached and folds their slack changes
+  /// into st.agg. Per level, phase 1 re-merges every queued pin into the
+  /// slab and compares it bitwise with the visible store (parallel when
+  /// `parallel` and the level is wide); phase 2, serial, publishes the
+  /// changed pins to the store and queues their fanout and endpoints (an
+  /// unchanged pin ends the ripple). Phase 3 evaluates the reached
+  /// endpoints, then folds them in reach order. Defined below the class.
+  ///
+  /// The Store is either the engine's live planes (LiveStore, engine.cpp)
+  /// or a scenario's copy-on-write overlay (ScenarioBatch::OverlayStore).
+  /// It provides: `vals` (the Values adapter of the visible store),
+  /// `corner`, `agg` (the CornerAggregates to fold into), and
+  ///   visit(pin)                every drained pin
+  ///   publish(pin, scratch, i)  a changed pin's slab lists, slot i
+  ///   set_endpoint(i, ep, scratch)  a re-evaluated endpoint
+  ///   count(fc)                 per-chunk work counters
+  ///   span(name, n)             a trace span object for one phase
+  template <typename Store>
+  WalkStats walk_frontier(Store& st, Frontier& fr, WalkScratch& scratch,
+                          bool parallel) const;
+
   void forward_from(std::size_t first_level);
   /// The sparse worklist pass behind run_forward_incremental(): corners run
-  /// back-to-back, each over its own frontier state.
+  /// back-to-back, each over its own frontier.
   void run_forward_sparse();
   void run_forward_sparse_corner(CornerId corner);
-  /// Re-merges one pin of both modes in one corner into thread-local
-  /// scratch and commits the result only when it differs bitwise from the
-  /// live store. Returns true when anything changed (the pin's fanout must
-  /// be dirtied in that corner).
-  bool reprocess_pin_sparse(netlist::PinId pin, CornerId corner,
-                            ForwardCounters& fc);
-  /// Queues `pin` (at graph level `lvl`) on one corner's dirty frontier.
-  void mark_dirty(netlist::PinId pin, int lvl, CornerId corner);
-  /// Rebuilds every corner's TNS/WNS/violation caches from slack_ /
-  /// hold_slack_.
+  struct LiveStore;  // engine.cpp
+  /// Rebuilds every corner's aggregates from slack_ / hold_slack_.
   void recompute_aggregates();
-  /// Folds one endpoint's setup-slack change into one corner's
-  /// delta-maintained aggregates (and similarly for hold).
-  void apply_setup_delta(CornerId corner, float oldv, float newv);
-  void apply_hold_delta(CornerId corner, float oldv, float newv);
+  /// One corner's aggregate of one mode with the lazy worst-slack rescan
+  /// settled against the live slack plane.
+  const SlackAggregate& settled(Mode mode, CornerId corner) const;
+  /// Cross-corner merged metrics over C consecutive slack planes of
+  /// num_eps endpoints each: per endpoint the worst finite slack over every
+  /// corner, then TNS/WNS/violations over those, endpoint-major. Shared by
+  /// merged_summary() and ScenarioBatch's merged view.
+  [[nodiscard]] SlackSummary merged_scan(const float* planes) const;
+  /// A pin/transition's live Top-K list in one corner (`early`: the
+  /// min-mode store).
+  [[nodiscard]] TopKView live_list(bool early, netlist::PinId pin, int rf,
+                                   CornerId corner);
   void process_pin(netlist::PinId pin, CornerId corner, ForwardCounters& fc);
   void process_pin_early(netlist::PinId pin, CornerId corner,
                          ForwardCounters& fc);
-  /// The Algorithm 1+2 merge kernel of one pin/transition/corner into
-  /// `dst` (either the live store or sparse scratch). kEarly selects the
-  /// min-mode (negated-corner) stores. Thin wrapper over merge_pin_values
-  /// with LiveValues.
-  template <bool kEarly>
-  void merge_pin_rf(netlist::PinId pin, int rf, CornerId corner,
-                    const TopKView& dst, ForwardCounters& fc);
   /// Value-parameterized Algorithm 1+2 merge; defined below the class.
   template <bool kEarly, typename Values>
   void merge_pin_values(const Values& vals, netlist::PinId pin, int rf,
@@ -828,32 +987,18 @@ class Engine {
   std::vector<float> ep_hold_base_;  ///< late capture clock + hold, per ep
   std::vector<float> hold_slack_;    ///< per corner*endpoint
 
-  // ---- frontier-sparse incremental state (all per-corner) -------------------
-  //
-  // Fully independent per-corner frontier state is a correctness decision,
-  // not a convenience: folding corners into one shared worklist would
-  // interleave each corner's dirty-endpoint order with the others', and
-  // the double-precision TNS delta folds are order-sensitive — the merged
-  // engine would drift from C independent engines in the last bit. With
-  // per-corner state walked corner-by-corner, every corner replays exactly
-  // the operation sequence of its independent twin.
+  // ---- frontier-sparse incremental state ------------------------------------
 
-  /// Per corner: shallowest level with a queued dirty pin (SIZE_MAX clean).
-  std::vector<std::size_t> dirty_level_;
+  /// Per corner: the pins queued by annotate() (see Frontier).
+  std::vector<Frontier> frontier_;
   /// True until the first full forward pass: every pin is implicitly dirty
   /// and run_forward_incremental() falls back to the dense sweep.
   bool full_dirty_ = true;
   std::vector<std::int32_t> ep_of_pin_;  ///< per pin: endpoint id or -1
-  std::vector<std::uint8_t> dirty_pin_;  ///< per corner*pin: queued flag
-  /// Per-(corner, level) compact worklists of dirty pins, indexed
-  /// corner*num_levels + level. Vectors keep their capacity across passes,
-  /// so steady-state sparse passes allocate nothing.
-  std::vector<std::vector<netlist::PinId>> frontier_;
-  /// Per corner: endpoints to re-evaluate this pass.
-  std::vector<std::vector<timing::EndpointId>> dirty_eps_;
-  std::vector<std::uint8_t> changed_flags_;     ///< per frontier slot scratch
-  std::vector<float> old_slack_scratch_;        ///< pre-eval setup slacks
-  std::vector<float> old_hold_scratch_;         ///< pre-eval hold slacks
+  /// Scratch of the sparse pass; shared by the corners, which walk one
+  /// after another. Keeps its capacity, so steady-state passes allocate
+  /// nothing.
+  WalkScratch walk_;
   SparseStats last_pass_;
 
   /// One Transaction active at a time; set by begin_edit, cleared by
@@ -863,20 +1008,9 @@ class Engine {
   /// Completed forward passes (see generation()).
   std::uint64_t generation_ = 0;
 
-  // Per-corner delta-maintained global metrics (exactly rebuilt by every
-  // full pass).
-  std::vector<double> tns_cache_;
-  std::vector<int> nviol_cache_;
-  std::vector<double> ths_cache_;
-  std::vector<int> nhold_viol_cache_;
-  /// wns/whs caches are lazily rebuilt per corner when the endpoint holding
-  /// the minimum may have improved (wns_valid_[c] == 0).
-  mutable std::vector<float> wns_cache_;
-  mutable std::vector<std::uint8_t> wns_any_;
-  mutable std::vector<std::uint8_t> wns_valid_;
-  mutable std::vector<float> whs_cache_;
-  mutable std::vector<std::uint8_t> whs_any_;
-  mutable std::vector<std::uint8_t> whs_valid_;
+  /// Per corner: the delta-maintained slack metrics (exactly rebuilt by
+  /// every full pass). Mutable for the lazy worst-slack rescan.
+  mutable std::vector<CornerAggregates> agg_;
 
   /// Generation-stamped merged_summary() caches (recomputed on demand by an
   /// endpoint-major scan; never delta-maintained, so they cannot drift).
@@ -921,18 +1055,19 @@ class Engine {
 
 // ---- shared value-parameterized kernels -------------------------------------
 //
-// The dense pass, the frontier-sparse pass, and ScenarioBatch's copy-on-write
-// overlays all execute these exact instruction sequences; only the Values
-// adapter differs (live stores vs overlay-first reads, and which corner's
-// plane the adapter is bound to). A single body is what turns "scenario and
-// multi-corner results are bit-identical to sequential single-corner passes"
-// from a testing aspiration into a structural property.
+// The dense pass and walk_frontier() — the engine's sparse pass and every
+// ScenarioBatch cell — all execute these exact instruction sequences; only
+// the Values adapter differs (live stores vs overlay-first reads, and which
+// corner's plane the adapter is bound to). A single body is what turns
+// "scenario and multi-corner results are bit-identical to sequential
+// single-corner passes" from a testing aspiration into a structural
+// property.
 
 /// The Algorithm 1+2 merge of one pin/transition, writing into `dst` —
-/// the pin's live Top-K slice (dense pass), thread-local scratch (sparse
-/// pass), or a scenario's overlay slab. kEarly selects the min-mode
-/// parent stores, whose arr slots hold *negated* early corners so the same
-/// descending unique-SP list keeps the K smallest early arrivals.
+/// the pin's live Top-K slice (dense pass) or a slab slot of
+/// walk_frontier() (sparse pass and scenario cells). kEarly selects the
+/// min-mode parent stores, whose arr slots hold *negated* early corners so
+/// the same descending unique-SP list keeps the K smallest early arrivals.
 template <bool kEarly, typename Values>
 void Engine::merge_pin_values(const Values& vals, netlist::PinId pin, int rf,
                               const TopKView& dst, ForwardCounters& fc) const {
@@ -1038,6 +1173,129 @@ Engine::HoldEval Engine::evaluate_endpoint_hold_values(
     }
   }
   return out;
+}
+
+template <typename Store>
+Engine::WalkStats Engine::walk_frontier(Store& st, Frontier& fr,
+                                        WalkScratch& scratch,
+                                        bool parallel) const {
+  auto& pool = util::ThreadPool::global();
+  const auto threshold = static_cast<std::size_t>(options_.parallel_threshold);
+  const auto for_chunks = [&](std::size_t n, int grain, const auto& fn) {
+    if (parallel && n >= threshold) {
+      pool.parallel_for_chunks(std::size_t{0}, n, fn,
+                               static_cast<std::size_t>(grain));
+    } else {
+      fn(std::size_t{0}, n);
+    }
+  };
+  const auto k = static_cast<std::int32_t>(options_.top_k);
+  const bool hold = options_.enable_hold;
+  const std::size_t lists = hold ? 4 : 2;  // per pin: modes x transitions
+  const std::size_t num_levels = level_start_.size() - 1;
+  WalkStats stats;
+  fr.eps.clear();
+
+  for (std::size_t l = std::min(fr.first, num_levels); l < num_levels; ++l) {
+    std::vector<netlist::PinId>& pins = fr.levels[l];
+    if (pins.empty()) continue;
+    [[maybe_unused]] const auto level_span =
+        st.span("engine.sparse_level", pins.size());
+    ++stats.levels;
+
+    // Phase 1: re-merge every queued pin into its slab slot and flag a
+    // change against the visible store. Chunks write disjoint slab and flag
+    // ranges; the store is only read.
+    const auto merge = [&](std::size_t a, std::size_t b) {
+      ForwardCounters fc;
+      for (std::size_t i = a; i < b; ++i) {
+        const netlist::PinId pin = pins[i];
+        bool changed = false;
+        for (std::size_t m = 0; m * 2 < lists; ++m) {
+          ++fc.pins;
+          for (int rf = 0; rf < 2; ++rf) {
+            const TopKView dst = scratch.slab.view(
+                i * lists + m * 2 + static_cast<std::size_t>(rf), k);
+            if (m == 0) {
+              merge_pin_values<false>(st.vals, pin, rf, dst, fc);
+            } else {
+              merge_pin_values<true>(st.vals, pin, rf, dst, fc);
+            }
+            const TopKConstView visible =
+                st.vals.parent(static_cast<std::size_t>(pin), rf, m != 0);
+            changed = changed || !topk_equal_const(dst, visible);
+          }
+        }
+        scratch.changed[i] = changed ? 1 : 0;
+      }
+      st.count(fc);
+    };
+    scratch.changed.assign(pins.size(), 0);
+    scratch.slab.ensure(pins.size() * lists, k);
+    for_chunks(pins.size(), options_.parallel_grain, merge);
+
+    // Phase 2 (serial, so the frontier order is deterministic): a changed
+    // pin is published, queues its endpoint and dirties its fanout (always
+    // at deeper levels); an unchanged pin ends the ripple here.
+    std::uint64_t early = 0;
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      const auto p = static_cast<std::size_t>(pins[i]);
+      fr.dirty[p] = 0;
+      st.visit(pins[i]);
+      if (scratch.changed[i] == 0) {
+        ++early;
+        continue;
+      }
+      st.publish(pins[i], scratch, i);
+      if (ep_of_pin_[p] >= 0) {
+        fr.eps.push_back(static_cast<timing::EndpointId>(ep_of_pin_[p]));
+      }
+      for (std::int32_t o = fo_start_[p]; o < fo_start_[p + 1]; ++o) {
+        const netlist::PinId child = fo_to_[static_cast<std::size_t>(o)];
+        fr.mark(child, graph_->level_of(child));
+      }
+    }
+    stats.frontier_pins += pins.size();
+    stats.early_terminations += early;
+    pins.clear();
+  }
+  fr.first = std::numeric_limits<std::size_t>::max();
+
+  // Phase 3: evaluate only the endpoints the frontier reached, then fold
+  // their changes against the baseline slacks in reach order (the folds
+  // are order-sensitive doubles).
+  const std::size_t nd = fr.eps.size();
+  [[maybe_unused]] const auto endpoint_span =
+      st.span("engine.sparse_endpoints", nd);
+  const auto evaluate = [&](std::size_t a, std::size_t b) {
+    ForwardCounters fc;
+    for (std::size_t i = a; i < b; ++i) {
+      const SetupEval ev = evaluate_endpoint_values(st.vals, fr.eps[i]);
+      scratch.setup[i] = ev.slack;
+      scratch.worst_rf[i] = ev.worst_rf;
+      fc.cppr_lookups += ev.lookups;
+      if (hold) {
+        const HoldEval hv = evaluate_endpoint_hold_values(st.vals, fr.eps[i]);
+        scratch.hold[i] = hv.slack;
+        fc.cppr_lookups += hv.lookups;
+      }
+    }
+    fc.endpoints = b - a;
+    st.count(fc);
+  };
+  scratch.setup.resize(nd);
+  scratch.worst_rf.resize(nd);
+  if (hold) scratch.hold.resize(nd);
+  for_chunks(nd, options_.endpoint_grain, evaluate);
+  const std::size_t eoff = ep_off(st.corner);
+  for (std::size_t i = 0; i < nd; ++i) {
+    const std::size_t e = eoff + static_cast<std::size_t>(fr.eps[i]);
+    st.agg.setup.fold(slack_[e], scratch.setup[i]);
+    if (hold) st.agg.hold.fold(hold_slack_[e], scratch.hold[i]);
+    st.set_endpoint(i, fr.eps[i], scratch);
+  }
+  stats.endpoints = nd;
+  return stats;
 }
 
 }  // namespace insta::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <cstring>
 #include <string>
 
 #include "analysis/diagnostics.hpp"
@@ -46,229 +44,176 @@ ScenarioMetrics& scenario_metrics() {
   return m;
 }
 
+/// Copy-on-write (mu, sigma) overrides of one per-corner value plane, arc
+/// slots or startpoints: idx[key] >= 0 selects mu/sig[idx * 2 + rf], -1
+/// reads the baseline.
+struct Overrides {
+  std::vector<std::int32_t> idx;      // per key
+  std::vector<std::int32_t> touched;  // keys in first-touch order
+  std::vector<float> mu, sig;
+
+  void set(std::int32_t key, std::size_t rf, float m, float s) {
+    std::int32_t& i = idx[static_cast<std::size_t>(key)];
+    if (i < 0) {
+      i = static_cast<std::int32_t>(touched.size());
+      touched.push_back(key);
+      const std::size_t need = touched.size() * 2;
+      if (mu.size() < need) {
+        mu.resize(need);
+        sig.resize(need);
+      }
+    }
+    mu[static_cast<std::size_t>(i) * 2 + rf] = m;
+    sig[static_cast<std::size_t>(i) * 2 + rf] = s;
+  }
+  void reset() {
+    for (const std::int32_t key : touched) {
+      idx[static_cast<std::size_t>(key)] = -1;
+    }
+    touched.clear();
+  }
+};
+
 }  // namespace
 
 /// Per-worker copy-on-write evaluation state. Sized once against the parent
-/// engine; all per-scenario state is reset through compact touched-lists, so
-/// a workspace reused across scenarios (and evaluate() calls) costs
-/// O(scenario frontier) per run, not O(design).
+/// engine; all per-cell state is reset through compact touched-lists, so a
+/// workspace reused across cells (and evaluate() calls) costs O(cell
+/// frontier) per run, not O(design).
 ///
-/// The overlay model mirrors the engine's flat stores one-to-one:
-///   pin_ov[pin]   -> private Top-K slot (both transitions, both modes)
-///   slot_ov[slot] -> private arc mu/sigma override
-///   sp_ov[sp]     -> private startpoint arrival override
-/// with -1 meaning "read the shared baseline". OverlayValues below resolves
-/// each read through these maps, so the engine's merge/eval kernels see
-/// exactly the values a sequentially annotated engine would hold.
+/// The overlay mirrors the engine's per-corner stores: pin_ov[pin] selects
+/// a private Top-K slot (both modes and transitions), `arcs` and `sps`
+/// override arc delays and startpoint arrivals. OverlayValues resolves each
+/// read through them, so the engine's kernels see exactly the values a
+/// sequentially annotated engine would hold.
 struct ScenarioBatch::Workspace {
   std::int32_t k = 0;
-  bool hold = false;
-  std::size_t modes = 1;  ///< 1 late-only, 2 with early/hold stores
+  std::size_t lists = 2;  ///< Top-K lists per pin: modes x transitions
 
-  // Pin Top-K overlays. Entry storage is [(ov * 2 + rf) * k]; counts are
-  // [ov * 2 + rf]. ov2_* mirror the engine's negated early-corner stores.
   std::vector<std::int32_t> pin_ov;  // per pin, -1 = baseline
   std::vector<PinId> touched_pins;
-  std::int32_t num_pin_ov = 0;
-  std::vector<float> ov_arr, ov_mu, ov_sig;
-  std::vector<std::int32_t> ov_sp, ov_cnt;
-  std::vector<float> ov2_arr, ov2_mu, ov2_sig;
-  std::vector<std::int32_t> ov2_sp, ov2_cnt;
+  /// Private pin lists: slot ov holds lists [ov * lists, +lists), laid out
+  /// like the walk's slab (mode-major, then transition).
+  Engine::TopKLists ov;
+  Overrides arcs;  // per fanin slot
+  Overrides sps;   // per startpoint
 
-  // Arc-delay overrides, [idx * 2 + rf].
-  std::vector<std::int32_t> slot_ov;  // per fanin slot, -1 = baseline
-  std::vector<std::int32_t> touched_slots;
-  std::int32_t num_slot_ov = 0;
-  std::vector<float> ov_amu, ov_asig;
-
-  // Startpoint arrival overrides, [idx * 2 + rf].
-  std::vector<std::int32_t> sp_ov;  // per startpoint, -1 = baseline
-  std::vector<std::int32_t> touched_sps;
-  std::int32_t num_sp_ov = 0;
-  std::vector<float> ov_spmu, ov_spsig;
-
-  // Frontier state: the workspace twin of the engine's sparse-pass fields.
-  std::vector<std::uint8_t> dirty;             // per pin
-  std::vector<std::vector<PinId>> frontier;    // per level
-  std::size_t dirty_level = std::numeric_limits<std::size_t>::max();
-  std::vector<EndpointId> dirty_eps;
-  std::vector<std::uint8_t> changed;           // per frontier slot
-
-  // Phase-1 merge slab: frontier slot i writes entries at
-  // ((i * modes + m) * 2 + rf) * k and its count at (i * modes + m) * 2 + rf,
-  // so parallel chunks touch disjoint ranges.
-  std::vector<float> m_arr, m_mu, m_sig;
-  std::vector<std::int32_t> m_sp, m_cnt;
-
-  // Phase-3 results, parallel to dirty_eps; ep_ov lets the lazy WNS rescan
-  // substitute scenario slacks for baseline ones.
-  std::vector<float> new_setup, new_hold;
-  // Between cells it is all -1, and fold_scenario borrows it as scratch.
-  std::vector<std::int32_t> ep_ov;  // per endpoint, -1 = baseline slack
+  Engine::Frontier fr;
+  Engine::WalkScratch walk;
+  /// Per endpoint: index of its re-evaluated slacks in `walk`, -1 for the
+  /// baseline. Lets the lazy worst-slack rescan see the scenario's values.
+  std::vector<std::int32_t> ep_ov;
+  /// fold_scenario's scratch: the C slack planes with the cells' endpoint
+  /// overrides substituted.
+  std::vector<float> merged;
 
   void init(const Engine& e) {
     k = e.options_.top_k;
-    hold = e.options_.enable_hold;
-    modes = hold ? 2 : 1;
+    lists = e.options_.enable_hold ? 4 : 2;
+    // The maps are corner-relative (one cell in flight per workspace), so
+    // they size to the single-corner plane, not the C x stores.
     pin_ov.assign(e.num_pins_, -1);
-    dirty.assign(e.num_pins_, 0);
-    frontier.resize(e.level_start_.size() - 1);
-    // Overlay maps are corner-relative (one cell in flight per workspace),
-    // so they size to the single-corner plane, not the C× stores.
-    slot_ov.assign(e.num_slots_, -1);
-    sp_ov.assign(e.num_sps_, -1);
+    arcs.idx.assign(e.num_slots_, -1);
+    sps.idx.assign(e.num_sps_, -1);
+    fr.init(e.num_pins_, e.level_start_.size() - 1);
     ep_ov.assign(e.ep_pin_.size(), -1);
   }
 
-  void ensure_pin_overlay(std::int32_t ov) {
-    const auto need = static_cast<std::size_t>(ov + 1) * 2;
-    if (ov_cnt.size() >= need) return;
-    const std::size_t entries = need * static_cast<std::size_t>(k);
-    ov_arr.resize(entries);
-    ov_mu.resize(entries);
-    ov_sig.resize(entries);
-    ov_sp.resize(entries);
-    ov_cnt.resize(need);
-    if (hold) {
-      ov2_arr.resize(entries);
-      ov2_mu.resize(entries);
-      ov2_sig.resize(entries);
-      ov2_sp.resize(entries);
-      ov2_cnt.resize(need);
-    }
-  }
-
-  /// Clears all per-scenario state through the touched-lists. Idempotent;
-  /// the frontier sweep is defensive (the level walk already clears levels
-  /// it processed).
+  /// Clears all per-cell state through the touched-lists. Idempotent.
   void reset() {
     for (const PinId pin : touched_pins) {
       pin_ov[static_cast<std::size_t>(pin)] = -1;
     }
     touched_pins.clear();
-    num_pin_ov = 0;
-    for (const std::int32_t slot : touched_slots) {
-      slot_ov[static_cast<std::size_t>(slot)] = -1;
-    }
-    touched_slots.clear();
-    num_slot_ov = 0;
-    for (const std::int32_t sp : touched_sps) {
-      sp_ov[static_cast<std::size_t>(sp)] = -1;
-    }
-    touched_sps.clear();
-    num_sp_ov = 0;
-    for (const EndpointId ep : dirty_eps) {
+    arcs.reset();
+    sps.reset();
+    for (const EndpointId ep : fr.eps) {
       ep_ov[static_cast<std::size_t>(ep)] = -1;
     }
-    dirty_eps.clear();
-    for (std::vector<PinId>& fr : frontier) {
-      for (const PinId pin : fr) dirty[static_cast<std::size_t>(pin)] = 0;
-      fr.clear();
-    }
-    dirty_level = std::numeric_limits<std::size_t>::max();
-  }
-
-  /// Workspace twin of Engine::mark_dirty.
-  void mark(PinId pin, int lvl) {
-    if (lvl < 0) return;
-    const auto p = static_cast<std::size_t>(pin);
-    if (dirty[p] != 0) return;
-    dirty[p] = 1;
-    frontier[static_cast<std::size_t>(lvl)].push_back(pin);
-    dirty_level = std::min(dirty_level, static_cast<std::size_t>(lvl));
+    fr.clear();
   }
 
   [[nodiscard]] std::size_t overlay_bytes() const {
     const std::size_t entry = 3 * sizeof(float) + sizeof(std::int32_t);
-    const std::size_t topk = static_cast<std::size_t>(num_pin_ov) * 2 *
-                                 static_cast<std::size_t>(k) * entry * modes +
-                             static_cast<std::size_t>(num_pin_ov) * 2 *
-                                 sizeof(std::int32_t) * modes;
-    const std::size_t arcs = touched_slots.size() * 4 * sizeof(float);
-    const std::size_t sps = touched_sps.size() * 4 * sizeof(float);
-    return topk + arcs + sps;
+    const std::size_t topk =
+        touched_pins.size() * lists *
+        (static_cast<std::size_t>(k) * entry + sizeof(std::int32_t));
+    const std::size_t overrides = arcs.touched.size() + sps.touched.size();
+    return topk + overrides * 4 * sizeof(float);
   }
 };
 
 /// Overlay-first Values adapter of the engine's shared kernels: every read
-/// checks the workspace's copy-on-write maps before falling back to the
-/// parent's baseline arrays. The adapter is bound to one corner; its
-/// fallback expressions match Engine::LiveValues (corner offsets included)
-/// exactly, so a scenario and a sequential pass execute the same
-/// instruction stream over the same bytes.
+/// checks the workspace's copy-on-write maps, then falls back to the
+/// parent's LiveValues bound to the same corner, so a scenario and a
+/// sequential pass execute the same instruction stream over the same bytes.
 struct ScenarioBatch::OverlayValues {
-  const Engine& e;
+  Engine::LiveValues base;
   const Workspace& w;
-  std::size_t tkoff;    ///< corner offset into the Top-K entry planes
-  std::size_t cntoff;   ///< corner offset into the count planes
-  std::size_t slotoff;  ///< corner offset into amu_/asig_
-  std::size_t spoff;    ///< corner offset into sp_mu_/sp_sig_
-
-  OverlayValues(const Engine& eng, const Workspace& ws, CornerId corner)
-      : e(eng),
-        w(ws),
-        tkoff(eng.tk_off(corner)),
-        cntoff(eng.cnt_off(corner)),
-        slotoff(eng.slot_off(corner)),
-        spoff(eng.sp_off(corner)) {}
 
   [[nodiscard]] TopKConstView parent(std::size_t pin, int rf,
                                      bool early) const {
     const std::int32_t ov = w.pin_ov[pin];
-    if (ov >= 0) {
-      const auto c = static_cast<std::size_t>(ov) * 2 +
-                     static_cast<std::size_t>(rf);
-      const std::size_t base = c * static_cast<std::size_t>(w.k);
-      if (early) {
-        return {&w.ov2_arr[base], &w.ov2_mu[base], &w.ov2_sig[base],
-                &w.ov2_sp[base], w.ov2_cnt[c]};
-      }
-      return {&w.ov_arr[base], &w.ov_mu[base], &w.ov_sig[base],
-              &w.ov_sp[base], w.ov_cnt[c]};
-    }
-    const auto& arr = early ? e.tk2_arr_ : e.tk_arr_;
-    const auto& mu = early ? e.tk2_mu_ : e.tk_mu_;
-    const auto& sig = early ? e.tk2_sig_ : e.tk_sig_;
-    const auto& sp = early ? e.tk2_sp_ : e.tk_sp_;
-    const auto& cnt = early ? e.tk2_cnt_ : e.tk_cnt_;
-    const std::size_t ci = e.cnt_index(static_cast<PinId>(pin), rf);
-    const std::size_t base = tkoff + ci * e.tk_stride_;
-    return {&arr[base], &mu[base], &sig[base], &sp[base], cnt[cntoff + ci]};
+    if (ov < 0) return base.parent(pin, rf, early);
+    return w.ov.const_view(static_cast<std::size_t>(ov) * w.lists +
+                               (early ? 2 : 0) + static_cast<std::size_t>(rf),
+                           w.k);
   }
   [[nodiscard]] float arc_mu(std::size_t slot, int rf) const {
-    const std::int32_t idx = w.slot_ov[slot];
-    if (idx >= 0) {
-      return w.ov_amu[static_cast<std::size_t>(idx) * 2 +
-                      static_cast<std::size_t>(rf)];
-    }
-    return e.amu_[static_cast<std::size_t>(rf)][slotoff + slot];
+    const std::int32_t i = w.arcs.idx[slot];
+    return i >= 0 ? w.arcs.mu[static_cast<std::size_t>(i) * 2 +
+                              static_cast<std::size_t>(rf)]
+                  : base.arc_mu(slot, rf);
   }
   [[nodiscard]] float arc_sig(std::size_t slot, int rf) const {
-    const std::int32_t idx = w.slot_ov[slot];
-    if (idx >= 0) {
-      return w.ov_asig[static_cast<std::size_t>(idx) * 2 +
-                       static_cast<std::size_t>(rf)];
-    }
-    return e.asig_[static_cast<std::size_t>(rf)][slotoff + slot];
+    const std::int32_t i = w.arcs.idx[slot];
+    return i >= 0 ? w.arcs.sig[static_cast<std::size_t>(i) * 2 +
+                               static_cast<std::size_t>(rf)]
+                  : base.arc_sig(slot, rf);
   }
   [[nodiscard]] float sp_mu(std::int32_t sp, int rf) const {
-    const std::int32_t idx = w.sp_ov[static_cast<std::size_t>(sp)];
-    if (idx >= 0) {
-      return w.ov_spmu[static_cast<std::size_t>(idx) * 2 +
-                       static_cast<std::size_t>(rf)];
-    }
-    return e.sp_mu_[static_cast<std::size_t>(rf)]
-                   [spoff + static_cast<std::size_t>(sp)];
+    const std::int32_t i = w.sps.idx[static_cast<std::size_t>(sp)];
+    return i >= 0 ? w.sps.mu[static_cast<std::size_t>(i) * 2 +
+                             static_cast<std::size_t>(rf)]
+                  : base.sp_mu(sp, rf);
   }
   [[nodiscard]] float sp_sig(std::int32_t sp, int rf) const {
-    const std::int32_t idx = w.sp_ov[static_cast<std::size_t>(sp)];
-    if (idx >= 0) {
-      return w.ov_spsig[static_cast<std::size_t>(idx) * 2 +
-                        static_cast<std::size_t>(rf)];
-    }
-    return e.sp_sig_[static_cast<std::size_t>(rf)]
-                    [spoff + static_cast<std::size_t>(sp)];
+    const std::int32_t i = w.sps.idx[static_cast<std::size_t>(sp)];
+    return i >= 0 ? w.sps.sig[static_cast<std::size_t>(i) * 2 +
+                              static_cast<std::size_t>(rf)]
+                  : base.sp_sig(sp, rf);
   }
+};
+
+/// A workspace's overlay as Engine::walk_frontier()'s store: a changed pin
+/// gets a private list slot, a re-evaluated endpoint an ep_ov entry, and
+/// the aggregates fold into a copy of the parent corner's. Nothing reaches
+/// the parent, the engine.* counters or the engine's spans.
+struct ScenarioBatch::OverlayStore {
+  struct NoSpan {};
+
+  Workspace& w;
+  CornerId corner;
+  OverlayValues vals;
+  Engine::CornerAggregates agg;
+
+  static void visit(PinId /*pin*/) {}
+  void publish(PinId pin, Engine::WalkScratch& scratch, std::size_t i) {
+    const auto ov = static_cast<std::int32_t>(w.touched_pins.size());
+    w.ov.ensure(static_cast<std::size_t>(ov + 1) * w.lists, w.k);
+    for (std::size_t j = 0; j < w.lists; ++j) {
+      topk_copy(w.ov.view(static_cast<std::size_t>(ov) * w.lists + j, w.k),
+                scratch.slab.view(i * w.lists + j, w.k));
+    }
+    w.pin_ov[static_cast<std::size_t>(pin)] = ov;
+    w.touched_pins.push_back(pin);
+  }
+  void set_endpoint(std::size_t i, EndpointId ep,
+                    const Engine::WalkScratch& /*scratch*/) {
+    w.ep_ov[static_cast<std::size_t>(ep)] = static_cast<std::int32_t>(i);
+  }
+  static void count(const Engine::ForwardCounters& /*fc*/) {}
+  static NoSpan span(const char* /*name*/, std::size_t /*n*/) { return {}; }
 };
 
 /// What one (scenario, corner) cell hands its scenario's fold: the corner's
@@ -309,14 +254,13 @@ void ScenarioBatch::release_workspace(Workspace& ws) {
 }
 
 /// The per-scenario post-pass over its C cells. Per-corner summaries and
-/// counters copy over; multi-corner engines fold each cell's overrides into
-/// a running per-endpoint minimum, corner 0 first, that a final
-/// endpoint-major scan turns into the merged summary — the same semantics
-/// (and float comparisons) as Engine::merged_summary.
+/// counters copy over; multi-corner engines substitute each cell's
+/// endpoint overrides into a copy of the parent's C slack planes and take
+/// the merged view with Engine::merged_scan, as Engine::merged_summary does.
 void ScenarioBatch::fold_scenario(std::span<Cell> cells, Workspace& ws,
                                   ScenarioResult& out) const {
   const Engine& e = *engine_;
-  const bool hold = ws.hold;
+  const bool hold = e.options_.enable_hold;
   const std::size_t num_corners = cells.size();
   out.setup_by_corner.resize(num_corners);
   if (hold) out.hold_by_corner.resize(num_corners);
@@ -333,72 +277,28 @@ void ScenarioBatch::fold_scenario(std::span<Cell> cells, Workspace& ws,
     out.setup = cells[0].setup;
     if (hold) out.hold = cells[0].hold;
   } else {
-    // Corner-major running minimum: each corner's overrides substitute for
-    // its baseline plane through the workspace's endpoint map.
     const std::size_t num_eps = e.ep_pin_.size();
-    constexpr float kInf = std::numeric_limits<float>::infinity();
-    std::vector<float> merged_setup(num_eps, kInf);
-    std::vector<float> merged_hold(hold ? num_eps : 0, kInf);
-    for (std::size_t c = 0; c < num_corners; ++c) {
-      const std::vector<EndpointSlackChange>& ov = cells[c].overrides;
-      for (std::size_t i = 0; i < ov.size(); ++i) {
-        ws.ep_ov[static_cast<std::size_t>(ov[i].ep)] =
-            static_cast<std::int32_t>(i);
-      }
-      const std::size_t eoff = e.ep_off(static_cast<CornerId>(c));
-      for (std::size_t ep = 0; ep < num_eps; ++ep) {
-        const std::int32_t oi = ws.ep_ov[ep];
-        const float s = oi >= 0 ? ov[static_cast<std::size_t>(oi)].setup
-                                : e.slack_[eoff + ep];
-        if (s < merged_setup[ep]) merged_setup[ep] = s;
-        if (hold) {
-          const float h = oi >= 0 ? ov[static_cast<std::size_t>(oi)].hold
-                                  : e.hold_slack_[eoff + ep];
-          if (h < merged_hold[ep]) merged_hold[ep] = h;
+    const auto merged = [&](const std::vector<float>& planes,
+                            float EndpointSlackChange::*slack) {
+      ws.merged.assign(planes.begin(), planes.end());
+      for (std::size_t c = 0; c < num_corners; ++c) {
+        for (const EndpointSlackChange& ch : cells[c].overrides) {
+          ws.merged[c * num_eps + static_cast<std::size_t>(ch.ep)] = ch.*slack;
         }
       }
-      for (const EndpointSlackChange& ch : ov) {
-        ws.ep_ov[static_cast<std::size_t>(ch.ep)] = -1;
-      }
-    }
-    // Endpoint-major merged scan, same order and comparisons as
-    // Engine::merged_summary (unconstrained-everywhere endpoints stayed
-    // +inf and are skipped).
-    const auto merge_scan = [num_eps](const std::vector<float>& m) {
-      double tns = 0.0;
-      float worst = 0.0f;
-      bool any = false;
-      int violations = 0;
-      for (std::size_t ep = 0; ep < num_eps; ++ep) {
-        const float s = m[ep];
-        if (!std::isfinite(s)) continue;
-        if (s < 0.0f) {
-          tns += static_cast<double>(s);
-          ++violations;
-        }
-        if (!any || s < worst) {
-          worst = s;
-          any = true;
-        }
-      }
-      return SlackSummary{tns, any ? static_cast<double>(worst) : 0.0,
-                          violations};
+      return e.merged_scan(ws.merged.data());
     };
-    out.setup = merge_scan(merged_setup);
-    if (hold) out.hold = merge_scan(merged_hold);
+    out.setup = merged(e.slack_, &EndpointSlackChange::setup);
+    if (hold) out.hold = merged(e.hold_slack_, &EndpointSlackChange::hold);
   }
   if (options_.collect_endpoints) {
     out.endpoint_changes = std::move(cells[0].overrides);
   }
 }
 
-/// One (scenario, corner) cell: overlay-annotate, frontier-sparse level
-/// walk, delta endpoint evaluation, aggregate replay — all against one
-/// corner's baseline planes. Every phase mirrors the corresponding stretch
-/// of Engine::annotate / Engine::run_forward_sparse_corner in both
-/// operation order and float expressions — that (plus the shared kernels)
-/// is the bit-identity argument, so any edit here must keep the pairing
-/// intact.
+/// One (scenario, corner) cell: the engine's annotate expressions into the
+/// overlay, then Engine::walk_frontier over the overlay store, then the
+/// lazy worst-slack rescans with the scenario's endpoint slacks visible.
 void ScenarioBatch::run_scenario_corner(
     std::span<const timing::ArcDelta> deltas, Workspace& ws,
     bool level_parallel, CornerId corner, std::uint64_t flow_id,
@@ -407,329 +307,52 @@ void ScenarioBatch::run_scenario_corner(
                     static_cast<std::int64_t>(deltas.size()));
   if (flow_id != 0) telemetry::Tracer::global().flow(flow_id, 't');
   const Engine& e = *engine_;
-  const auto cc = static_cast<std::size_t>(corner);
-  const float dscale = e.corners_[cc].delay_scale;
-  const float sscale = e.corners_[cc].sigma_scale;
-  const bool hold = ws.hold;
-  const std::size_t modes = ws.modes;
-  const auto k = static_cast<std::int32_t>(ws.k);
-  const auto ksz = static_cast<std::size_t>(ws.k);
-  auto& pool = util::ThreadPool::global();
-  const bool parallel = level_parallel && e.options_.parallel;
-  const auto threshold =
-      static_cast<std::size_t>(e.options_.parallel_threshold);
-  const auto grain = static_cast<std::size_t>(e.options_.parallel_grain);
-
-  // ---- overlay annotate: Engine::annotate against the override maps ------
   for (const timing::ArcDelta& d : deltas) {
-    const auto arc = static_cast<std::size_t>(d.arc);
-    const std::int32_t slot = e.slot_of_arc_[arc];
-    {
-      const PinId to = e.graph_->arc(d.arc).to;
-      ws.mark(to, e.graph_->level_of(to));
-    }
-    if (slot >= 0) {
-      std::int32_t idx = ws.slot_ov[static_cast<std::size_t>(slot)];
-      if (idx < 0) {
-        idx = ws.num_slot_ov++;
-        const auto need = static_cast<std::size_t>(idx + 1) * 2;
-        if (ws.ov_amu.size() < need) {
-          ws.ov_amu.resize(need);
-          ws.ov_asig.resize(need);
-        }
-        ws.slot_ov[static_cast<std::size_t>(slot)] = idx;
-        ws.touched_slots.push_back(slot);
-      }
-      for (const int rf : {0, 1}) {
-        const auto at = static_cast<std::size_t>(idx) * 2 +
-                        static_cast<std::size_t>(rf);
-        // Same corner-scale fold as Engine::annotate, term for term.
-        ws.ov_amu[at] =
-            Engine::scaled(d.mu[static_cast<std::size_t>(rf)], dscale);
-        ws.ov_asig[at] =
-            Engine::scaled(d.sigma[static_cast<std::size_t>(rf)], sscale);
-      }
-      continue;
-    }
-    const std::int32_t sp = e.launch_sp_of_arc_[arc];
-    check(sp >= 0,
-          "ScenarioBatch: arc is neither a data arc nor a launch arc "
-          "(clock-network arcs require re-initialization)");
-    std::int32_t idx = ws.sp_ov[static_cast<std::size_t>(sp)];
-    if (idx < 0) {
-      idx = ws.num_sp_ov++;
-      const auto need = static_cast<std::size_t>(idx + 1) * 2;
-      if (ws.ov_spmu.size() < need) {
-        ws.ov_spmu.resize(need);
-        ws.ov_spsig.resize(need);
-      }
-      ws.sp_ov[static_cast<std::size_t>(sp)] = idx;
-      ws.touched_sps.push_back(sp);
-    }
-    for (const int rf : {0, 1}) {
-      const auto rfi = static_cast<std::size_t>(rf);
-      const auto spi = static_cast<std::size_t>(sp);
-      const auto at = static_cast<std::size_t>(idx) * 2 + rfi;
-      const float dsig = Engine::scaled(d.sigma[rfi], sscale);
-      // Same fold as Engine::annotate, term for term.
-      ws.ov_spmu[at] = e.sp_ck_mu_[spi] + Engine::scaled(d.mu[rfi], dscale);
-      ws.ov_spsig[at] = std::sqrt(e.sp_ck_sig2_[spi] + dsig * dsig);
+    const Engine::CornerAnnotation a = e.annotation(d, corner);
+    ws.fr.mark(a.sink, e.graph_->level_of(a.sink));
+    Overrides& ov = a.slot >= 0 ? ws.arcs : ws.sps;
+    for (const std::size_t rf : {0U, 1U}) {
+      ov.set(a.slot >= 0 ? a.slot : a.sp, rf, a.mu[rf], a.sig[rf]);
     }
   }
 
-  // ---- frontier-sparse level walk: Engine::run_forward_sparse_corner -----
-  const OverlayValues vals(e, ws, corner);
-  const std::size_t num_levels = e.level_start_.size() - 1;
-  for (std::size_t l = std::min(ws.dirty_level, num_levels); l < num_levels;
-       ++l) {
-    std::vector<PinId>& fr = ws.frontier[l];
-    if (fr.empty()) continue;
-
-    // Phase 1 (parallel under level-parallelism): re-merge every dirty pin
-    // into this level's slab slice and flag value changes against the
-    // visible (overlay-first) store. Chunks write disjoint slab/flag
-    // ranges; overlay maps are read-only here.
-    ws.changed.assign(fr.size(), 0);
-    const std::size_t need_cnt = fr.size() * modes * 2;
-    if (ws.m_cnt.size() < need_cnt) {
-      ws.m_cnt.resize(need_cnt);
-      ws.m_arr.resize(need_cnt * ksz);
-      ws.m_mu.resize(need_cnt * ksz);
-      ws.m_sig.resize(need_cnt * ksz);
-      ws.m_sp.resize(need_cnt * ksz);
-    }
-    auto run = [&](std::size_t a, std::size_t b) {
-      Engine::ForwardCounters fc;
-      for (std::size_t i = a; i < b; ++i) {
-        const PinId pin = fr[i];
-        bool pin_changed = false;
-        for (std::size_t m = 0; m < modes; ++m) {
-          for (int rf = 0; rf < 2; ++rf) {
-            const std::size_t c =
-                (i * modes + m) * 2 + static_cast<std::size_t>(rf);
-            const TopKView dst{&ws.m_arr[c * ksz], &ws.m_mu[c * ksz],
-                               &ws.m_sig[c * ksz], &ws.m_sp[c * ksz], k,
-                               &ws.m_cnt[c]};
-            if (m == 0) {
-              e.merge_pin_values<false>(vals, pin, rf, dst, fc);
-            } else {
-              e.merge_pin_values<true>(vals, pin, rf, dst, fc);
-            }
-            if (!topk_equal_const(
-                    dst, vals.parent(static_cast<std::size_t>(pin), rf,
-                                     /*early=*/m != 0))) {
-              pin_changed = true;
-            }
-          }
-        }
-        ws.changed[i] = pin_changed ? 1 : 0;
-      }
-    };
-    if (parallel && fr.size() >= threshold) {
-      pool.parallel_for_chunks(std::size_t{0}, fr.size(), run, grain);
-    } else {
-      run(0, fr.size());
-    }
-
-    // Phase 2 (serial scatter): a changed pin materializes its private
-    // Top-K slot (all transitions and modes — unchanged lists copy bytes
-    // equal to baseline, so visibility is unaffected), queues its endpoint,
-    // and dirties its fanout; an unchanged pin ends the ripple.
-    std::uint64_t early_terms = 0;
-    for (std::size_t i = 0; i < fr.size(); ++i) {
-      const auto p = static_cast<std::size_t>(fr[i]);
-      ws.dirty[p] = 0;
-      if (ws.changed[i] == 0) {
-        ++early_terms;
-        continue;
-      }
-      const std::int32_t ov = ws.num_pin_ov++;
-      ws.ensure_pin_overlay(ov);
-      for (std::size_t m = 0; m < modes; ++m) {
-        for (int rf = 0; rf < 2; ++rf) {
-          const std::size_t c =
-              (i * modes + m) * 2 + static_cast<std::size_t>(rf);
-          const std::int32_t cnt = ws.m_cnt[c];
-          const auto oc = static_cast<std::size_t>(ov) * 2 +
-                          static_cast<std::size_t>(rf);
-          const std::size_t src = c * ksz;
-          const std::size_t dst = oc * ksz;
-          const auto fb = static_cast<std::size_t>(cnt) * sizeof(float);
-          const auto ib = static_cast<std::size_t>(cnt) * sizeof(std::int32_t);
-          if (m == 0) {
-            std::memcpy(&ws.ov_arr[dst], &ws.m_arr[src], fb);
-            std::memcpy(&ws.ov_mu[dst], &ws.m_mu[src], fb);
-            std::memcpy(&ws.ov_sig[dst], &ws.m_sig[src], fb);
-            std::memcpy(&ws.ov_sp[dst], &ws.m_sp[src], ib);
-            ws.ov_cnt[oc] = cnt;
-          } else {
-            std::memcpy(&ws.ov2_arr[dst], &ws.m_arr[src], fb);
-            std::memcpy(&ws.ov2_mu[dst], &ws.m_mu[src], fb);
-            std::memcpy(&ws.ov2_sig[dst], &ws.m_sig[src], fb);
-            std::memcpy(&ws.ov2_sp[dst], &ws.m_sp[src], ib);
-            ws.ov2_cnt[oc] = cnt;
-          }
-        }
-      }
-      ws.pin_ov[p] = ov;
-      ws.touched_pins.push_back(fr[i]);
-      if (e.ep_of_pin_[p] >= 0) {
-        ws.dirty_eps.push_back(static_cast<EndpointId>(e.ep_of_pin_[p]));
-      }
-      const std::int32_t os = e.fo_start_[p];
-      const std::int32_t oe = e.fo_start_[p + 1];
-      for (std::int32_t o = os; o < oe; ++o) {
-        const PinId child = e.fo_to_[static_cast<std::size_t>(o)];
-        if (ws.dirty[static_cast<std::size_t>(child)] != 0) continue;
-        ws.mark(child, e.graph_->level_of(child));
-      }
-    }
-    out.frontier_pins += fr.size();
-    out.early_terminations += early_terms;
-    fr.clear();
-  }
-  ws.dirty_level = std::numeric_limits<std::size_t>::max();
-
-  // ---- delta endpoint evaluation (phase 3) -------------------------------
-  const std::size_t nd = ws.dirty_eps.size();
-  ws.new_setup.resize(nd);
-  if (hold) ws.new_hold.resize(nd);
-  auto eval = [&](std::size_t a, std::size_t b) {
-    for (std::size_t i = a; i < b; ++i) {
-      ws.new_setup[i] =
-          e.evaluate_endpoint_values(vals, ws.dirty_eps[i]).slack;
-      if (hold) {
-        ws.new_hold[i] =
-            e.evaluate_endpoint_hold_values(vals, ws.dirty_eps[i]).slack;
-      }
-    }
-  };
-  if (parallel && nd >= threshold) {
-    pool.parallel_for_chunks(std::size_t{0}, nd, eval,
-                             static_cast<std::size_t>(e.options_.endpoint_grain));
-  } else {
-    eval(0, nd);
-  }
-  out.endpoints_evaluated = nd;
-
-  // ---- aggregate replay: apply_setup_delta/apply_hold_delta on locals ----
-  // Starts from this corner's settled parent caches (evaluate() reads
-  // tns(c)/wns(c) up front) and folds deltas in dirty_eps order — the same
-  // order a sequential pass folds them.
+  // evaluate() settled the parent's aggregates, so the copy starts from
+  // the state a sequential pass would start from.
+  OverlayStore st{ws, corner, {Engine::LiveValues(e, corner), ws},
+                  e.agg_[static_cast<std::size_t>(corner)]};
+  const Engine::WalkStats stats = e.walk_frontier(
+      st, ws.fr, ws.walk, level_parallel && e.options_.parallel);
+  const bool hold = e.options_.enable_hold;
   const std::size_t eoff = e.ep_off(corner);
-  double tns = e.tns_cache_[cc];
-  int nviol = e.nviol_cache_[cc];
-  float wns_c = e.wns_cache_[cc];
-  bool wns_any = e.wns_any_[cc] != 0;
-  bool wns_valid = e.wns_valid_[cc] != 0;
-  double ths = hold ? e.ths_cache_[cc] : 0.0;
-  int nhviol = hold ? e.nhold_viol_cache_[cc] : 0;
-  float whs_c = hold ? e.whs_cache_[cc] : 0.0f;
-  bool whs_any = hold && e.whs_any_[cc] != 0;
-  bool whs_valid = hold && e.whs_valid_[cc] != 0;
-  for (std::size_t i = 0; i < nd; ++i) {
-    const auto epi = static_cast<std::size_t>(ws.dirty_eps[i]);
-    // Recorded before the equality skip so the lazy rescan substitutes the
-    // scenario value even when it equals the baseline (last write wins for
-    // endpoints reached twice — they are not: fanout climbs levels, so each
-    // endpoint appears at most once in dirty_eps).
-    ws.ep_ov[epi] = static_cast<std::int32_t>(i);
-    const float oldv = e.slack_[eoff + epi];
-    const float newv = ws.new_setup[i];
-    if (oldv != newv) {
-      if (std::isfinite(oldv) && oldv < 0.0f) {
-        tns -= static_cast<double>(oldv);
-        --nviol;
-      }
-      if (std::isfinite(newv) && newv < 0.0f) {
-        tns += static_cast<double>(newv);
-        ++nviol;
-      }
-      if (wns_valid) {
-        if (std::isfinite(newv) && (!wns_any || newv <= wns_c)) {
-          wns_c = newv;
-          wns_any = true;
-        } else if (wns_any && std::isfinite(oldv) && oldv <= wns_c) {
-          wns_valid = false;
-        }
-      }
-    }
-    if (hold) {
-      const float holdo = e.hold_slack_[eoff + epi];
-      const float holdn = ws.new_hold[i];
-      if (holdo != holdn) {
-        if (std::isfinite(holdo) && holdo < 0.0f) {
-          ths -= static_cast<double>(holdo);
-          --nhviol;
-        }
-        if (std::isfinite(holdn) && holdn < 0.0f) {
-          ths += static_cast<double>(holdn);
-          ++nhviol;
-        }
-        if (whs_valid) {
-          if (std::isfinite(holdn) && (!whs_any || holdn <= whs_c)) {
-            whs_c = holdn;
-            whs_any = true;
-          } else if (whs_any && std::isfinite(holdo) && holdo <= whs_c) {
-            whs_valid = false;
-          }
-        }
-      }
-    }
-  }
-  // Lazy rescan, overlay-substituted: the workspace twin of the rebuild
-  // Engine::wns() performs when the cached minimum may have improved. Same
-  // scan order and comparisons as worst_of().
+  // The corner's slack plane with the re-evaluated endpoints substituted.
+  const auto visible = [&ws](const float* plane, const float* fresh) {
+    return [&ws, plane, fresh](std::size_t ep) {
+      const std::int32_t i = ws.ep_ov[ep];
+      return i >= 0 ? fresh[i] : plane[ep];
+    };
+  };
   const std::size_t num_eps = e.ep_pin_.size();
-  if (!wns_valid) {
-    float w = 0.0f;
-    bool any = false;
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const std::int32_t oi = ws.ep_ov[ep];
-      const float s = oi >= 0 ? ws.new_setup[static_cast<std::size_t>(oi)]
-                              : e.slack_[eoff + ep];
-      if (!std::isfinite(s)) continue;
-      if (!any || s < w) {
-        w = s;
-        any = true;
-      }
-    }
-    wns_c = w;
-    wns_any = any;
-  }
-  if (hold && !whs_valid) {
-    float w = 0.0f;
-    bool any = false;
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const std::int32_t oi = ws.ep_ov[ep];
-      const float s = oi >= 0 ? ws.new_hold[static_cast<std::size_t>(oi)]
-                              : e.hold_slack_[eoff + ep];
-      if (!std::isfinite(s)) continue;
-      if (!any || s < w) {
-        w = s;
-        any = true;
-      }
-    }
-    whs_c = w;
-    whs_any = any;
-  }
-
-  out.setup =
-      SlackSummary{tns, wns_any ? static_cast<double>(wns_c) : 0.0, nviol};
+  st.agg.setup.settle(
+      num_eps, visible(e.slack_.data() + eoff, ws.walk.setup.data()));
+  out.setup = st.agg.setup.summary();
   if (hold) {
-    out.hold =
-        SlackSummary{ths, whs_any ? static_cast<double>(whs_c) : 0.0, nhviol};
+    st.agg.hold.settle(
+        num_eps, visible(e.hold_slack_.data() + eoff, ws.walk.hold.data()));
+    out.hold = st.agg.hold.summary();
   }
+  out.frontier_pins = stats.frontier_pins;
+  out.early_terminations = stats.early_terminations;
+  out.endpoints_evaluated = stats.endpoints;
   // Endpoint overrides for fold_scenario: the merged fold substitutes them
   // for this corner's baseline plane, and corner 0's are the scenario's
   // endpoint_changes.
   if (e.C_ > 1 || (corner == 0 && options_.collect_endpoints)) {
-    out.overrides.reserve(nd);
-    for (std::size_t i = 0; i < nd; ++i) {
+    out.overrides.reserve(ws.fr.eps.size());
+    for (std::size_t i = 0; i < ws.fr.eps.size(); ++i) {
       EndpointSlackChange ch;
-      ch.ep = ws.dirty_eps[i];
-      ch.setup = ws.new_setup[i];
-      if (hold) ch.hold = ws.new_hold[i];
+      ch.ep = ws.fr.eps[i];
+      ch.setup = ws.walk.setup[i];
+      if (hold) ch.hold = ws.walk.hold[i];
       out.overrides.push_back(ch);
     }
   }
@@ -758,16 +381,12 @@ std::vector<ScenarioResult> ScenarioBatch::evaluate(
                        " has invalid deltas:\n" + rep.str());
     }
   }
-  // Settle every corner's lazy WNS/WHS caches so every (scenario, corner)
-  // cell replays its deltas from the same aggregate state a sequential
-  // pass would start from.
+  // Settle every corner's lazy worst-slack rescans so every (scenario,
+  // corner) cell folds its deltas from the same aggregate state a
+  // sequential pass would start from.
   for (CornerId c = 0; c < static_cast<CornerId>(e.C_); ++c) {
-    (void)e.tns(c);
-    (void)e.wns(c);
-    if (e.options_.enable_hold) {
-      (void)e.ths(c);
-      (void)e.whs(c);
-    }
+    (void)e.settled(Mode::kSetup, c);
+    if (e.options_.enable_hold) (void)e.settled(Mode::kHold, c);
   }
 
   const std::size_t num_scenarios = scenarios.size();

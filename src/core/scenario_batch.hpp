@@ -125,20 +125,21 @@ class ScenarioBatch {
  private:
   struct Workspace;
   struct OverlayValues;
+  struct OverlayStore;
   struct Cell;
 
   Workspace& acquire_workspace();
   void release_workspace(Workspace& ws);
   /// One (scenario, corner) cell of the cross product, the unit of
-  /// dispatch: the whole annotate/walk/evaluate/replay pipeline against one
-  /// corner's planes, from a reset workspace, so each cell replays exactly
-  /// an independent single-corner pass. The caller resets `ws` afterwards.
+  /// dispatch: the engine's annotate and frontier walk against one corner's
+  /// planes through a copy-on-write overlay, from a reset workspace, so
+  /// each cell replays exactly an independent single-corner pass. The
+  /// caller resets `ws` afterwards.
   void run_scenario_corner(std::span<const timing::ArcDelta> deltas,
                            Workspace& ws, bool level_parallel, CornerId corner,
                            std::uint64_t flow_id, Cell& out) const;
   /// Folds one scenario's C finished cells, in corner order, into its
-  /// ScenarioResult. `ws` must be reset; its endpoint map is borrowed as
-  /// scratch and left reset.
+  /// ScenarioResult, using `ws` for scratch.
   void fold_scenario(std::span<Cell> cells, Workspace& ws,
                      ScenarioResult& out) const;
 

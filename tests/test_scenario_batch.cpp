@@ -157,6 +157,33 @@ class ScenarioBatchTest : public ::testing::TestWithParam<std::uint64_t> {
     return scen;
   }
 
+  /// A reference engine with hold analysis on, for multi-corner engines
+  /// built with enable_hold.
+  [[nodiscard]] std::unique_ptr<ref::GoldenSta> hold_reference() {
+    ref::GoldenOptions gopt;
+    gopt.enable_hold = true;
+    auto sta = std::make_unique<ref::GoldenSta>(*graph_, gd_.constraints,
+                                                delays_, gopt);
+    sta->update_full();
+    return sta;
+  }
+
+  /// `deltas` plus an edit of the first launch arc, which annotate() folds
+  /// into a startpoint's initial arrival instead of an arc slot.
+  [[nodiscard]] std::vector<ArcDelta> with_launch_edit(
+      const core::Engine& engine, std::vector<ArcDelta> deltas) const {
+    for (std::size_t a = 0; a < graph_->num_arcs(); ++a) {
+      const auto arc = static_cast<timing::ArcId>(a);
+      if (graph_->arc(arc).kind != timing::ArcKind::kLaunch) continue;
+      ArcDelta d = engine.read_annotation(arc, 0);
+      d.mu = {d.mu[0] + 7.0, d.mu[1] + 5.0};
+      d.sigma = {d.sigma[0] + 1.0, d.sigma[1]};
+      deltas.push_back(d);
+      break;
+    }
+    return deltas;
+  }
+
   gen::GeneratedDesign gd_;
   std::unique_ptr<timing::TimingGraph> graph_;
   std::unique_ptr<timing::DelayCalculator> calc_;
@@ -274,28 +301,71 @@ TEST_P(ScenarioBatchTest, EmptyDeltaSetIsBaseline) {
   EXPECT_TRUE(results[0].endpoint_changes.empty());
 }
 
+/// Four corners with hold on: the multi-corner input of the accounting and
+/// commit tests.
+core::EngineOptions four_corners_with_hold() {
+  core::EngineOptions opt;
+  opt.enable_hold = true;
+  opt.corners = {{"typ", 1.0f, 1.0f},
+                 {"fast", 0.92f, 0.95f},
+                 {"slow", 1.08f, 1.05f},
+                 {"cold", 1.15f, 1.10f}};
+  return opt;
+}
+
+/// A scenario's per-corner summaries and work counters equal those of an
+/// engine that committed the same delta-set.
+void expect_matches_committed(const ScenarioResult& r,
+                              const core::Engine& committed) {
+  const bool hold = committed.options().enable_hold;
+  for (std::size_t c = 0; c < committed.num_corners(); ++c) {
+    const auto corner = static_cast<core::CornerId>(c);
+    EXPECT_EQ(r.setup_by_corner[c], committed.summary(Mode::kSetup, corner))
+        << "corner " << c;
+    if (hold) {
+      EXPECT_EQ(r.hold_by_corner[c], committed.summary(Mode::kHold, corner))
+          << "corner " << c;
+    }
+  }
+  EXPECT_EQ(r.setup, committed.merged_summary(Mode::kSetup));
+  if (hold) {
+    EXPECT_EQ(r.hold, committed.merged_summary(Mode::kHold));
+  }
+  const core::Engine::SparseStats& st = committed.last_pass_stats();
+  EXPECT_EQ(r.frontier_pins, st.frontier_pins);
+  EXPECT_EQ(r.early_terminations, st.early_terminations);
+  EXPECT_EQ(r.endpoints_evaluated, st.endpoints_evaluated);
+}
+
 /// A real resize scenario must report non-trivial work accounting: a
 /// frontier, evaluated endpoints, and a non-zero copy-on-write footprint.
+/// The same ECO applied sequentially walks the same frontier — at one
+/// corner, and at four corners with hold on and a launch-arc edit.
 TEST_P(ScenarioBatchTest, StatsAndOverlayAccounting) {
-  core::Engine engine(*sta_, {});
-  engine.run_forward();
-  ScenarioBatch batch(engine);
+  const std::unique_ptr<ref::GoldenSta> hold_sta = hold_reference();
   util::Rng rng(GetParam() * 31 + 7);
   const auto scen = make_scenarios(rng, 1);
   ASSERT_EQ(scen.size(), 1u);
-  const auto results = batch.evaluate(scen);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_GT(results[0].frontier_pins, 0u);
-  EXPECT_GT(results[0].overlay_bytes, 0u);
-  // The same ECO applied sequentially walks the same frontier.
-  core::Engine seq(*sta_, {});
-  seq.run_forward();
-  seq.annotate(scen[0]);
-  seq.run_forward_incremental();
-  const core::Engine::SparseStats st = seq.last_pass_stats();
-  EXPECT_EQ(results[0].frontier_pins, st.frontier_pins);
-  EXPECT_EQ(results[0].early_terminations, st.early_terminations);
-  EXPECT_EQ(results[0].endpoints_evaluated, st.endpoints_evaluated);
+  for (const bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "4 corners, hold, launch arc" : "1 corner");
+    const ref::GoldenSta& sta = multi ? *hold_sta : *sta_;
+    const core::EngineOptions opt =
+        multi ? four_corners_with_hold() : core::EngineOptions{};
+    core::Engine engine(sta, opt);
+    engine.run_forward();
+    const std::vector<std::vector<ArcDelta>> deltas{
+        multi ? with_launch_edit(engine, scen[0]) : scen[0]};
+    ScenarioBatch batch(engine);
+    const auto results = batch.evaluate(deltas);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_GT(results[0].frontier_pins, 0u);
+    EXPECT_GT(results[0].overlay_bytes, 0u);
+    core::Engine seq(sta, opt);
+    seq.run_forward();
+    seq.annotate(deltas[0]);
+    seq.run_forward_incremental();
+    expect_matches_committed(results[0], seq);
+  }
 }
 
 /// summary(Mode) must agree with the single-field accessors.
@@ -344,22 +414,31 @@ TEST_P(ScenarioBatchTest, TransactionRollbackRestoresExactState) {
 }
 
 /// commit() keeps the edits, and the committed state is bit-identical to
-/// what ScenarioBatch predicted for the same delta-set.
+/// what ScenarioBatch predicted for the same delta-set — at one corner, and
+/// at four corners with hold on and a launch-arc edit.
 TEST_P(ScenarioBatchTest, TransactionCommitMatchesWhatIf) {
-  core::Engine engine(*sta_, {});
-  engine.run_forward();
-  ScenarioBatch batch(engine);
+  const std::unique_ptr<ref::GoldenSta> hold_sta = hold_reference();
   util::Rng rng(GetParam() * 41 + 17);
   const auto scen = make_scenarios(rng, 1);
   ASSERT_EQ(scen.size(), 1u);
-  const auto predicted = batch.evaluate(scen);
+  for (const bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "4 corners, hold, launch arc" : "1 corner");
+    core::Engine engine(multi ? *hold_sta : *sta_,
+                        multi ? four_corners_with_hold()
+                              : core::EngineOptions{});
+    engine.run_forward();
+    const std::vector<std::vector<ArcDelta>> deltas{
+        multi ? with_launch_edit(engine, scen[0]) : scen[0]};
+    ScenarioBatch batch(engine);
+    const auto predicted = batch.evaluate(deltas);
 
-  auto tx = engine.begin_edit();
-  tx.annotate(scen[0]);
-  engine.run_forward_incremental();
-  tx.commit();
-  EXPECT_FALSE(tx.active());
-  EXPECT_EQ(engine.summary(Mode::kSetup, 0), predicted[0].setup);
+    auto tx = engine.begin_edit();
+    tx.annotate(deltas[0]);
+    engine.run_forward_incremental();
+    tx.commit();
+    EXPECT_FALSE(tx.active());
+    expect_matches_committed(predicted[0], engine);
+  }
 }
 
 /// Destroying an active Transaction rolls it back.
