@@ -526,10 +526,12 @@ int cmd_profile(const Args& args) {
 
   std::unique_ptr<ref::GoldenSta> sta;
   time_phase("profile.golden_full", 1, [&] {
-    sta = std::make_unique<ref::GoldenSta>(*graph, gd.constraints, delays,
-                                           ref::GoldenOptions{});
+    sta = std::make_unique<ref::GoldenSta>(*graph, gd.constraints, delays);
     sta->update_full();
   });
+  // The golden.entries gauge: the reference's work under its derived window.
+  std::printf("golden: %zu arrival entries kept, max CPPR credit %.2f ps\n",
+              sta->num_entries(), sta->clock().max_credit());
 
   core::EngineOptions eopt;
   eopt.top_k = static_cast<int>(args.get_num("topk", 32));

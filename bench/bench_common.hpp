@@ -22,7 +22,6 @@
 #include "ref/golden_sta.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
-#include "timing/clock.hpp"
 #include "timing/delay_calc.hpp"
 #include "timing/graph.hpp"
 #include "util/log.hpp"
@@ -114,9 +113,9 @@ struct Bundle {
   int golden_update_reps = 0;          ///< repetitions behind the numbers
 };
 
-/// Builds a bundle from a logic-block spec. The golden engine uses the
-/// exact CPPR-safe pruning window (max credit * 1.5 + 10 ps) so reference
-/// results stay exact while propagation remains tractable.
+/// Builds a bundle from a logic-block spec. The golden engine uses its
+/// default, exact pruning window (DESIGN.md §6), so reference results stay
+/// exact while propagation remains tractable.
 /// `update_reps` full golden updates are timed (median + min reported);
 /// the default of 1 keeps large-block bundles affordable.
 inline Bundle make_bundle(const gen::LogicBlockSpec& spec,
@@ -132,12 +131,8 @@ inline Bundle make_bundle(const gen::LogicBlockSpec& spec,
                          violate_fraction);
   b.gen_sec = sw.elapsed_sec();
 
-  const timing::ClockAnalysis probe(*b.graph, b.delays,
-                                    b.gd.constraints.nsigma);
-  ref::GoldenOptions gopt;
-  gopt.prune_window = probe.max_credit() * 1.5 + 10.0;
   b.sta = std::make_unique<ref::GoldenSta>(*b.graph, b.gd.constraints,
-                                           b.delays, gopt);
+                                           b.delays);
   const TimingStats ts =
       time_repeated(update_reps, [&] { b.sta->update_full(); });
   b.golden_update_sec = ts.median_sec;

@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "core/engine.hpp"
 #include "gen/presets.hpp"
-#include "timing/clock.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -32,9 +31,7 @@ int main() {
     timing::ArcDelays delays;
     calc.compute_all(delays);
     gen::tune_clock_period(graph, gd.constraints, delays, 0.08);
-    const timing::ClockAnalysis probe(graph, delays, gd.constraints.nsigma);
     ref::GoldenOptions gopt;
-    gopt.prune_window = probe.max_credit() * 1.5 + 10.0;
     gopt.enable_hold = true;
     ref::GoldenSta sta(graph, gd.constraints, delays, gopt);
     sta.update_full();

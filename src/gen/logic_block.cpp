@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -103,7 +105,9 @@ GeneratedDesign build_logic_block(const LogicBlockSpec& spec) {
   auto net_for = [&](PinId driver) {
     auto it = net_of_driver.find(driver);
     if (it != net_of_driver.end()) return it->second;
-    const NetId n = d.add_net("n" + std::to_string(d.num_nets()));
+    std::string name = "n";
+    name += std::to_string(d.num_nets());
+    const NetId n = d.add_net(std::move(name));
     d.connect_driver(n, driver);
     net_of_driver.emplace(driver, n);
     return n;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "timing/clock.hpp"
 #include "util/check.hpp"
 
 namespace insta::gen {
@@ -16,13 +15,7 @@ double tune_clock_period(const timing::TimingGraph& graph,
               "tune_clock_period: fraction must be in [0, 1)");
   timing::Constraints probe = constraints;
   probe.clock_period = 0.0;
-  // The CPPR-safe pruning window keeps the probe update exact yet fast
-  // (see DESIGN.md §6): only entries within the maximum possible credit of
-  // a pin's best corner can decide an endpoint slack.
-  const timing::ClockAnalysis clock_probe(graph, delays, constraints.nsigma);
-  ref::GoldenOptions gopt;
-  gopt.prune_window = clock_probe.max_credit() * 1.5 + 10.0;
-  ref::GoldenSta sta(graph, probe, delays, gopt);
+  ref::GoldenSta sta(graph, probe, delays);
   sta.update_full();
 
   // With period 0, slack(e) = -x_e where x_e is period-independent;

@@ -5,7 +5,6 @@
 
 #include "place/hpwl.hpp"
 #include "place/pin_slacks.hpp"
-#include "timing/clock.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -26,14 +25,8 @@ GlobalPlacer::GlobalPlacer(gen::PlacementBench& bench, PlacerOptions options)
   calc_ = std::make_unique<timing::DelayCalculator>(*design_, *graph_, dm);
   calc_->compute_all(delays_);
 
-  // Exact golden pruning window: the maximum possible CPPR credit plus a
-  // 10 ps safety margin (DESIGN.md §6).
-  const timing::ClockAnalysis probe(*graph_, delays_,
-                                    bench.gd.constraints.nsigma);
-  ref::GoldenOptions gopt;
-  gopt.prune_window = probe.max_credit() * 1.5 + 10.0;
   sta_ = std::make_unique<ref::GoldenSta>(*graph_, bench.gd.constraints,
-                                          delays_, gopt);
+                                          delays_);
 
   slot_of_cell_.assign(design_->num_cells(), -1);
   for (std::size_t c = 0; c < design_->num_cells(); ++c) {

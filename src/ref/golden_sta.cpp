@@ -1,6 +1,7 @@
 #include "ref/golden_sta.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "telemetry/telemetry.hpp"
@@ -81,7 +82,8 @@ double GoldenSta::ep_base_required(EndpointId ep_id) const {
   return ep_period(ep_id) + clock_->early_ck(ep.cell) - lc.setup;
 }
 
-void GoldenSta::finalize_entries(std::vector<ArrivalEntry>& entries,
+void GoldenSta::finalize_entries(PinId pin, RiseFall rf,
+                                 std::vector<ArrivalEntry>& entries,
                                  bool early) const {
   if (entries.empty()) return;
   // Unique per startpoint, keeping the worst corner (maximum for late mode,
@@ -105,8 +107,10 @@ void GoldenSta::finalize_entries(std::vector<ArrivalEntry>& entries,
     return a.sp < b.sp;
   };
   std::sort(entries.begin(), entries.end(), corner_less);
-  if (std::isfinite(options_.prune_window)) {
-    const double floor = dir * entries.front().corner - options_.prune_window;
+  if (!options_.prune_window) {
+    prune_dominated(pin, rf, entries, dir);
+  } else if (std::isfinite(*options_.prune_window)) {
+    const double floor = dir * entries.front().corner - *options_.prune_window;
     while (!entries.empty() && dir * entries.back().corner < floor) {
       entries.pop_back();
     }
@@ -122,6 +126,90 @@ void GoldenSta::finalize_entries(std::vector<ArrivalEntry>& entries,
                  "finalize_entries: corners not sorted worst-first");
   }
 #endif
+}
+
+void GoldenSta::prune_dominated(PinId pin, RiseFall rf,
+                                std::vector<ArrivalEntry>& entries,
+                                double dir) const {
+  // The anchor A is the worst entry whose startpoint no exception names, so
+  // its required time is never shifted or removed. Along a suffix path,
+  // every arc moves A's startpoint's kept corner by at least its mean plus
+  // the least sigma gain any arrival makes there, whatever the merges keep,
+  // and every arrival of B's startpoint that B's removal changes, in
+  // either engine, by at most its mean plus the largest gain; the gaps sum
+  // to at most suffix_growth. CPPR credit closes at most max_credit. So B
+  // never decides a slack once the corner gap exceeds both (DESIGN.md §6;
+  // hold mirrors it).
+  const auto anchor =
+      std::find_if(entries.begin(), entries.end(), [&](const ArrivalEntry& e) {
+        return !exceptions_.names_startpoint(e.sp);
+      });
+  if (anchor == entries.end()) return;
+  const double floor =
+      dir * anchor->corner - constraints_->nsigma *
+                                 suffix_growth_[slot(pin, rf)] -
+      max_credit_;
+  while (entries.end() - anchor > 1 && dir * entries.back().corner < floor) {
+    entries.pop_back();
+  }
+}
+
+bool GoldenSta::update_sigma_range(PinId pin) {
+  bool changed = false;
+  const auto fanin = graph_->fanin(pin);
+  const StartpointId sp =
+      fanin.empty() ? graph_->startpoint_of_pin(pin) : timing::kNullStartpoint;
+  for (const RiseFall rf : netlist::kBothTransitions) {
+    const auto rfi = static_cast<std::size_t>(netlist::rf_index(rf));
+    SigmaRange r;
+    if (sp != timing::kNullStartpoint) {
+      r.lo = r.hi = sp_init(sp).sigma[rfi];
+    }
+    for (const ArcId aid : fanin) {
+      const ArcRecord& a = graph_->arc(aid);
+      const RiseFall prf =
+          (a.sense == ArcSense::kPositive) ? rf : opposite(rf);
+      const SigmaRange& u = sigma_range_[slot(a.from, prf)];
+      if (!std::isfinite(u.lo)) continue;
+      const double s = delays_->sigma[rfi][static_cast<std::size_t>(aid)];
+      r.lo = std::min(r.lo, std::sqrt(u.lo * u.lo + s * s));
+      r.hi = std::max(r.hi, std::sqrt(u.hi * u.hi + s * s));
+    }
+    SigmaRange& cur = sigma_range_[slot(pin, rf)];
+    if (cur.lo != r.lo || cur.hi != r.hi) {
+      cur = r;
+      changed = true;
+    }
+  }
+  return changed;
+}
+
+bool GoldenSta::update_suffix_growth(PinId pin) {
+  bool changed = false;
+  for (const RiseFall rf : netlist::kBothTransitions) {
+    const SigmaRange& r = sigma_range_[slot(pin, rf)];
+    double worst = 0.0;
+    if (std::isfinite(r.lo)) {
+      for (const ArcId aid : graph_->fanout(pin)) {
+        const ArcRecord& a = graph_->arc(aid);
+        const RiseFall to_rf =
+            (a.sense == ArcSense::kPositive) ? rf : opposite(rf);
+        const double s =
+            delays_->sigma[netlist::rf_index(to_rf)][static_cast<std::size_t>(aid)];
+        // The most sigma an arrival here can gain over the arc, less the
+        // least any arrival here gains.
+        const double spread = (std::sqrt(r.lo * r.lo + s * s) - r.lo) -
+                              (std::sqrt(r.hi * r.hi + s * s) - r.hi);
+        worst = std::max(worst, spread + suffix_growth_[slot(a.to, to_rf)]);
+      }
+    }
+    double& cur = suffix_growth_[slot(pin, rf)];
+    if (cur != worst) {
+      cur = worst;
+      changed = true;
+    }
+  }
+  return changed;
 }
 
 void GoldenSta::recompute_pin(PinId pin, RiseFall rf, bool early,
@@ -160,7 +248,7 @@ void GoldenSta::recompute_pin(PinId pin, RiseFall rf, bool early,
       out.push_back(e);
     }
   }
-  finalize_entries(out, early);
+  finalize_entries(pin, rf, out, early);
 }
 
 void GoldenSta::update_full() {
@@ -169,27 +257,47 @@ void GoldenSta::update_full() {
       telemetry::MetricsRegistry::global().counter("golden.full_updates");
   static telemetry::Counter pins_propagated =
       telemetry::MetricsRegistry::global().counter("golden.pins_propagated");
+  static telemetry::Gauge entries =
+      telemetry::MetricsRegistry::global().gauge("golden.entries");
   full_updates.inc();
   {
     INSTA_TRACE_SCOPE("golden.clock");
     clock_ = std::make_unique<timing::ClockAnalysis>(*graph_, *delays_,
                                                      constraints_->nsigma);
+    max_credit_ = clock_->max_credit();
+  }
+  if (!options_.prune_window) {
+    INSTA_TRACE_SCOPE("golden.window_bounds");
+    sigma_range_.assign(arr_.size(), SigmaRange{});
+    suffix_growth_.assign(arr_.size(), 0.0);
+    const auto order = graph_->level_order();
+    for (const PinId p : order) update_sigma_range(p);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      update_suffix_growth(*it);
+    }
   }
   last_pins_ = 0;
+  std::atomic<std::size_t> kept{0};
   auto& pool = util::ThreadPool::global();
   for (std::size_t l = 0; l < graph_->num_levels(); ++l) {
     const auto pins = graph_->level(l);
     last_pins_ += pins.size();
     auto process = [&](std::size_t lo, std::size_t hi) {
+      std::size_t n = 0;
       for (std::size_t i = lo; i < hi; ++i) {
         const PinId p = pins[i];
         for (const RiseFall rf : netlist::kBothTransitions) {
-          recompute_pin(p, rf, /*early=*/false, arr_[slot(p, rf)]);
+          auto& late = arr_[slot(p, rf)];
+          recompute_pin(p, rf, /*early=*/false, late);
+          n += late.size();
           if (options_.enable_hold) {
-            recompute_pin(p, rf, /*early=*/true, arr_early_[slot(p, rf)]);
+            auto& early = arr_early_[slot(p, rf)];
+            recompute_pin(p, rf, /*early=*/true, early);
+            n += early.size();
           }
         }
       }
+      kept.fetch_add(n, std::memory_order_relaxed);
     };
     if (options_.parallel) {
       pool.parallel_for_chunks(0, pins.size(), process, 64);
@@ -198,6 +306,8 @@ void GoldenSta::update_full() {
     }
   }
   pins_propagated.add(last_pins_);
+  num_entries_ = kept.load(std::memory_order_relaxed);
+  entries.set(static_cast<double>(num_entries_));
   INSTA_TRACE_SCOPE("golden.slacks");
   for (std::size_t e = 0; e < graph_->endpoints().size(); ++e) {
     compute_slack(static_cast<EndpointId>(e));
@@ -243,7 +353,11 @@ void GoldenSta::update_incremental(std::span<const ArcId> changed) {
     }
     push(a.to);
   }
-
+  if (!options_.prune_window) {
+    // The derived window moves with the arc sigmas: re-propagate every pin
+    // whose window moved, so that the sets match a full update's.
+    for (const PinId p : update_window_bounds(changed)) push(p);
+  }
   last_pins_ = 0;
   std::vector<ArrivalEntry> scratch;
   std::vector<EndpointId> touched_eps;
@@ -285,6 +399,48 @@ void GoldenSta::update_incremental(std::span<const ArcId> changed) {
     compute_slack(ep);
     if (options_.enable_hold) compute_hold_slack(ep);
   }
+}
+
+std::vector<PinId> GoldenSta::update_window_bounds(
+    std::span<const ArcId> changed) {
+  // A changed arc sigma moves the sigma ranges of its fanout cone, and the
+  // suffix growth of the fanin cones of its source and of every pin whose
+  // range moved. Early termination both ways, as for arrivals.
+  const std::size_t num_levels = graph_->num_levels();
+  std::vector<std::vector<PinId>> fwd(num_levels);
+  std::vector<std::vector<PinId>> back(num_levels);
+  std::vector<char> fwd_queued(graph_->design().num_pins(), 0);
+  std::vector<char> back_queued(graph_->design().num_pins(), 0);
+  auto enqueue = [&](std::vector<std::vector<PinId>>& q,
+                     std::vector<char>& seen, PinId p) {
+    if (seen[static_cast<std::size_t>(p)]) return;
+    seen[static_cast<std::size_t>(p)] = 1;
+    q[static_cast<std::size_t>(graph_->level_of(p))].push_back(p);
+  };
+  for (const ArcId aid : changed) {
+    enqueue(fwd, fwd_queued, graph_->arc(aid).to);
+    enqueue(back, back_queued, graph_->arc(aid).from);
+  }
+  for (std::size_t l = 0; l < num_levels; ++l) {
+    for (const PinId p : fwd[l]) {
+      if (!update_sigma_range(p)) continue;
+      enqueue(back, back_queued, p);
+      for (const ArcId aid : graph_->fanout(p)) {
+        enqueue(fwd, fwd_queued, graph_->arc(aid).to);
+      }
+    }
+  }
+  std::vector<PinId> moved;
+  for (std::size_t l = num_levels; l-- > 0;) {
+    for (const PinId p : back[l]) {
+      if (!update_suffix_growth(p)) continue;
+      moved.push_back(p);
+      for (const ArcId aid : graph_->fanin(p)) {
+        enqueue(back, back_queued, graph_->arc(aid).from);
+      }
+    }
+  }
+  return moved;
 }
 
 void GoldenSta::annotate_and_update(std::span<const ArcDelta> deltas) {

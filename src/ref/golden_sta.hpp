@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -24,13 +25,18 @@ struct ArrivalEntry {
 
 /// Options of the golden engine.
 struct GoldenOptions {
-  /// Entries whose corner is more than this below a pin's best corner are
-  /// pruned. Exact endpoint slack needs a window of at least the maximum
-  /// CPPR credit in the design (see DESIGN.md); infinity disables pruning.
-  double prune_window = std::numeric_limits<double>::infinity();
+  /// Arrival-entry pruning. Unset (the default): the window derived from
+  /// the design's own clock analysis and suffix sigmas drops an entry only
+  /// when a kept entry of another startpoint bounds it at every endpoint it
+  /// reaches, through the same-startpoint merges on the way, so every setup
+  /// and hold slack is the unpruned engine's (DESIGN.md §6). A value:
+  /// entries whose corner is more than this below a pin's worst corner are
+  /// dropped, which can lose slack-deciding entries under CPPR or timing
+  /// exceptions; infinity disables pruning (the unpruned engine).
+  std::optional<double> prune_window;
   /// Hard cap on entries kept per pin/transition (SIZE_MAX: no cap).
   std::size_t max_entries = std::numeric_limits<std::size_t>::max();
-  /// Worker threads for level-parallel propagation (0: global pool).
+  /// Propagate each level on the global thread pool (false: serially).
   bool parallel = true;
   /// Also propagate early (minimum) arrivals and evaluate hold checks —
   /// the min-mode analysis a signoff engine runs alongside setup. Off by
@@ -177,6 +183,11 @@ class GoldenSta {
   /// instrumentations for the Fig. 7 runtime study.
   [[nodiscard]] std::size_t last_update_pin_count() const { return last_pins_; }
 
+  /// Arrival entries kept over every pin and transition, setup plus hold,
+  /// by the last update_full: the reference's memory and propagation work,
+  /// which pruning bounds (also the golden.entries gauge).
+  [[nodiscard]] std::size_t num_entries() const { return num_entries_; }
+
  private:
   [[nodiscard]] std::size_t slot(netlist::PinId pin, netlist::RiseFall rf) const {
     return static_cast<std::size_t>(pin) * 2 + netlist::rf_index(rf);
@@ -185,7 +196,19 @@ class GoldenSta {
   /// `early` selects min-mode (corner = mu - nsigma*sigma, keep minima).
   void recompute_pin(netlist::PinId pin, netlist::RiseFall rf, bool early,
                      std::vector<ArrivalEntry>& out) const;
-  void finalize_entries(std::vector<ArrivalEntry>& entries, bool early) const;
+  void finalize_entries(netlist::PinId pin, netlist::RiseFall rf,
+                        std::vector<ArrivalEntry>& entries, bool early) const;
+  /// The derived window: drops the entries the anchor bounds at `pin`.
+  void prune_dominated(netlist::PinId pin, netlist::RiseFall rf,
+                       std::vector<ArrivalEntry>& entries, double dir) const;
+  /// Recompute a pin's sigma ranges from its fanin and its suffix growths
+  /// from its fanout (both transitions); true if a value changed.
+  bool update_sigma_range(netlist::PinId pin);
+  bool update_suffix_growth(netlist::PinId pin);
+  /// Re-derives both bounds after `changed` arcs moved; returns the pins
+  /// whose suffix growth, and so derived window, moved.
+  std::vector<netlist::PinId> update_window_bounds(
+      std::span<const timing::ArcId> changed);
   void compute_slack(timing::EndpointId ep);
   void compute_hold_slack(timing::EndpointId ep);
 
@@ -195,12 +218,26 @@ class GoldenSta {
   GoldenOptions options_;
   timing::ExceptionTable exceptions_;
   std::unique_ptr<timing::ClockAnalysis> clock_;
+  double max_credit_ = 0.0;  ///< clock_->max_credit(), cached by update_full
+  /// Bounds on the sigma of every arrival at a pin/transition (lo = +inf
+  /// where no startpoint reaches it), [pin*2 + rf].
+  struct SigmaRange {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = 0.0;
+  };
+  std::vector<SigmaRange> sigma_range_;
+  /// Per pin/transition: over the data paths leaving it, the largest sum of
+  /// per-arc sigma-gain spreads (the most sigma an arrival can gain over the
+  /// arc less the least any arrival gains); times nsigma, the derived
+  /// window's suffix bound (DESIGN.md §6), [pin*2 + rf].
+  std::vector<double> suffix_growth_;
 
   std::vector<std::vector<ArrivalEntry>> arr_;        // [pin*2 + rf]
   std::vector<std::vector<ArrivalEntry>> arr_early_;  // min-mode, if enabled
   std::vector<double> slack_;                         // per endpoint
   std::vector<double> hold_slack_;                    // per endpoint
   std::size_t last_pins_ = 0;
+  std::size_t num_entries_ = 0;  ///< kept by the last update_full
 };
 
 }  // namespace insta::ref

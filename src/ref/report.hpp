@@ -41,7 +41,10 @@ struct TimingPath {
 /// Up to `nworst` distinct paths of one endpoint, ascending by slack: one
 /// per (startpoint, transition) arrival entry, i.e. the per-startpoint
 /// path diversity the Top-K machinery retains (report_timing -nworst with
-/// unique startpoints).
+/// unique startpoints). Only the entries the engine's pruning window keeps
+/// are traced: the slack-deciding path is always among them, but a pruned
+/// engine (the default) may return fewer than `nworst` paths where an
+/// unpruned one (GoldenOptions::prune_window = infinity) returns more.
 [[nodiscard]] std::vector<TimingPath> trace_paths(const GoldenSta& sta,
                                                   timing::EndpointId ep,
                                                   int nworst);

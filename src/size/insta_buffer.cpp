@@ -5,7 +5,6 @@
 
 #include "core/engine.hpp"
 #include "ref/golden_sta.hpp"
-#include "timing/clock.hpp"
 #include "timing/delay_calc.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -73,10 +72,7 @@ BufferResult InstaBuffer::run() {
     timing::DelayCalculator calc(*design_, graph);
     timing::ArcDelays delays;
     calc.compute_all(delays);
-    const timing::ClockAnalysis probe(graph, delays, constraints_->nsigma);
-    ref::GoldenOptions gopt;
-    gopt.prune_window = probe.max_credit() * 1.5 + 10.0;
-    ref::GoldenSta sta(graph, *constraints_, delays, gopt);
+    ref::GoldenSta sta(graph, *constraints_, delays);
     sta.update_full();
 
     if (first) {
@@ -169,7 +165,7 @@ BufferResult InstaBuffer::run() {
     timing::DelayCalculator calc2(*design_, graph2);
     timing::ArcDelays delays2;
     calc2.compute_all(delays2);
-    ref::GoldenSta sta2(graph2, *constraints_, delays2, gopt);
+    ref::GoldenSta sta2(graph2, *constraints_, delays2);
     sta2.update_full();
     if (sta2.tns() < cur_tns + options_.min_tns_gain) {
       *design_ = snapshot;  // roll the whole pass back

@@ -5,12 +5,14 @@
 namespace insta::timing {
 
 ExceptionTable::ExceptionTable(const TimingGraph& graph,
-                               std::span<const TimingException> exceptions) {
+                               std::span<const TimingException> exceptions)
+    : named_(graph.startpoints().size(), 0) {
   for (const TimingException& e : exceptions) {
     const StartpointId sp = graph.startpoint_of_pin(e.sp_pin);
     const EndpointId ep = graph.endpoint_of_pin(e.ep_pin);
     util::check(sp != kNullStartpoint, "exception sp_pin is not a startpoint");
     util::check(ep != kNullEndpoint, "exception ep_pin is not an endpoint");
+    named_[static_cast<std::size_t>(sp)] = 1;
     Info& info = table_[key(sp, ep)];
     if (e.kind == ExceptionKind::kFalsePath) {
       info.false_path = true;

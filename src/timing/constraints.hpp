@@ -81,6 +81,12 @@ class ExceptionTable {
   [[nodiscard]] double required_shift(StartpointId sp, EndpointId ep,
                                       double period) const;
 
+  /// True if some exception names `sp` as its startpoint, whatever the
+  /// endpoint: such a startpoint's required times may be shifted or removed.
+  [[nodiscard]] bool names_startpoint(StartpointId sp) const {
+    return named_[static_cast<std::size_t>(sp)] != 0;
+  }
+
   /// Number of resolved exception pairs.
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
@@ -94,6 +100,7 @@ class ExceptionTable {
            static_cast<std::uint32_t>(ep);
   }
   std::unordered_map<std::uint64_t, Info> table_;
+  std::vector<char> named_;  ///< per startpoint: named by an exception
 };
 
 }  // namespace insta::timing

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
@@ -28,13 +29,10 @@ struct Fixture {
   }
 };
 
-/// Property: the golden engine's endpoint slacks equal exhaustive path
-/// enumeration with exact CPPR, on every random tiny design.
-class GoldenVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GoldenVsBruteForce, EndpointSlacksMatch) {
-  Fixture f(GetParam());
-  ref::GoldenSta sta(*f.graph, f.gd.constraints, f.delays);
+void expect_matches_brute_force(std::uint64_t seed,
+                                const ref::GoldenOptions& options) {
+  Fixture f(seed);
+  ref::GoldenSta sta(*f.graph, f.gd.constraints, f.delays, options);
   sta.update_full();
   const auto brute =
       ref::brute_force_endpoint_slacks(*f.graph, f.gd.constraints, f.delays);
@@ -50,6 +48,22 @@ TEST_P(GoldenVsBruteForce, EndpointSlacksMatch) {
                 1e-7)
         << "endpoint " << e;
   }
+}
+
+/// Property: the golden engine's endpoint slacks equal exhaustive path
+/// enumeration with exact CPPR, on every random tiny design — with its
+/// default (derived) pruning window, and unpruned, the reference the
+/// window tests compare against.
+class GoldenVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GoldenVsBruteForce, EndpointSlacksMatch) {
+  expect_matches_brute_force(GetParam(), ref::GoldenOptions{});
+}
+
+TEST_P(GoldenVsBruteForce, UnprunedEndpointSlacksMatch) {
+  ref::GoldenOptions unpruned;
+  unpruned.prune_window = std::numeric_limits<double>::infinity();
+  expect_matches_brute_force(GetParam(), unpruned);
 }
 
 TEST_P(GoldenVsBruteForce, SomeViolationsExist) {

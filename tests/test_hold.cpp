@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/engine.hpp"
 #include "gen/logic_block.hpp"
@@ -20,26 +21,20 @@ struct Fixture {
   timing::ArcDelays delays;
   std::unique_ptr<ref::GoldenSta> sta;
 
-  explicit Fixture(std::uint64_t seed) {
+  explicit Fixture(std::uint64_t seed, ref::GoldenOptions opt = {}) {
     gd = gen::build_logic_block(gen::tiny_spec(seed));
     graph = std::make_unique<timing::TimingGraph>(*gd.design,
                                                   gd.constraints.clock_root);
     calc = std::make_unique<timing::DelayCalculator>(*gd.design, *graph);
     calc->compute_all(delays);
     gen::tune_clock_period(*graph, gd.constraints, delays, 0.1);
-    ref::GoldenOptions opt;
     opt.enable_hold = true;
     sta = std::make_unique<ref::GoldenSta>(*graph, gd.constraints, delays, opt);
     sta->update_full();
   }
 };
 
-class Hold : public ::testing::TestWithParam<std::uint64_t> {};
-
-/// Golden hold slacks equal exhaustive min-path enumeration with exact
-/// CPPR credits.
-TEST_P(Hold, GoldenMatchesBruteForce) {
-  Fixture f(GetParam());
+void expect_hold_matches_brute_force(const Fixture& f) {
   const auto brute =
       ref::brute_force_hold_slacks(*f.graph, f.gd.constraints, f.delays);
   ASSERT_EQ(brute.size(), f.sta->hold_slacks().size());
@@ -51,6 +46,20 @@ TEST_P(Hold, GoldenMatchesBruteForce) {
     }
     EXPECT_NEAR(brute[e], mine, 1e-7) << "endpoint " << e;
   }
+}
+
+class Hold : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Golden hold slacks equal exhaustive min-path enumeration with exact
+/// CPPR credits, with the default (derived) pruning window and unpruned.
+TEST_P(Hold, GoldenMatchesBruteForce) {
+  expect_hold_matches_brute_force(Fixture(GetParam()));
+}
+
+TEST_P(Hold, UnprunedGoldenMatchesBruteForce) {
+  ref::GoldenOptions unpruned;
+  unpruned.prune_window = std::numeric_limits<double>::infinity();
+  expect_hold_matches_brute_force(Fixture(GetParam(), unpruned));
 }
 
 /// INSTA with K >= #startpoints reproduces golden hold slacks to float

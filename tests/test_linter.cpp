@@ -36,7 +36,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Wires `drv` to `sinks` through a fresh net.
 NetId wire(netlist::Design& d, PinId drv, std::initializer_list<PinId> sinks) {
-  const NetId net = d.add_net("w" + std::to_string(d.num_nets()));
+  std::string name = "w";
+  name += std::to_string(d.num_nets());
+  const NetId net = d.add_net(name);
   d.connect_driver(net, drv);
   for (const PinId s : sinks) d.connect_sink(net, s);
   return net;
@@ -99,10 +101,12 @@ TEST(LinterRules, TwoIndependentLoops) {
   Library lib = netlist::make_default_library();
   netlist::Design d(lib);
   for (int ring = 0; ring < 2; ++ring) {
-    const CellId a = d.add_cell("a" + std::to_string(ring),
-                                lib.find(CellFunc::kBuf, 1));
-    const CellId b = d.add_cell("b" + std::to_string(ring),
-                                lib.find(CellFunc::kBuf, 1));
+    std::string a_name = "a";
+    a_name += std::to_string(ring);
+    std::string b_name = "b";
+    b_name += std::to_string(ring);
+    const CellId a = d.add_cell(a_name, lib.find(CellFunc::kBuf, 1));
+    const CellId b = d.add_cell(b_name, lib.find(CellFunc::kBuf, 1));
     wire(d, d.output_pin(a), {d.input_pin(b, 0)});
     wire(d, d.output_pin(b), {d.input_pin(a, 0)});
   }
@@ -352,7 +356,9 @@ TEST(LinterReport, SuppressionKeepsExactCounts) {
   netlist::Design d(lib);
   // Ten unconnected buffer inputs, reporting capped at three.
   for (int i = 0; i < 10; ++i) {
-    d.add_cell("u" + std::to_string(i), lib.find(CellFunc::kBuf, 1));
+    std::string name = "u";
+    name += std::to_string(i);
+    d.add_cell(name, lib.find(CellFunc::kBuf, 1));
   }
   LintOptions opt;
   opt.max_reports_per_rule = 3;

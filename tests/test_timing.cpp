@@ -53,7 +53,9 @@ struct HandBuilt {
     inv = d.add_cell("inv", lib.find(CellFunc::kInv, 2));
     auto wire = [&](PinId drv, std::initializer_list<PinId> sinks,
                     double len) {
-      const NetId n = d.add_net("w" + std::to_string(d.num_nets()));
+      std::string name = "w";
+      name += std::to_string(d.num_nets());
+      const NetId n = d.add_net(name);
       d.connect_driver(n, drv);
       for (const PinId s : sinks) d.connect_sink(n, s);
       d.net(n).length_hint = len;
@@ -370,6 +372,10 @@ TEST(ExceptionTable, ResolvesAndRejects) {
   const auto other_ep = h.graph->endpoint_of_pin(h.d.input_pin(h.ff1, 0));
   EXPECT_DOUBLE_EQ(table.required_shift(sp, other_ep, 100.0), 0.0);
   EXPECT_FALSE(table.is_false_path(sp, other_ep));
+  // The startpoint an exception names is flagged; the others are not.
+  EXPECT_TRUE(table.names_startpoint(sp));
+  EXPECT_FALSE(table.names_startpoint(
+      h.graph->startpoint_of_pin(h.d.output_pin(h.ff2))));
 
   timing::TimingException bad = good;
   bad.sp_pin = h.d.input_pin(h.inv, 0);  // not a startpoint
