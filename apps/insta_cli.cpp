@@ -85,6 +85,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -521,6 +522,10 @@ int cmd_profile(const Args& args) {
   time_phase("profile.delay_calc", 1, [&] {
     calc = std::make_unique<timing::DelayCalculator>(*gd.design, *graph);
     calc->compute_all(delays);
+  });
+  // Period tuning runs a full golden analysis of its own, so it gets its
+  // own row rather than hiding inside delay calc.
+  time_phase("profile.tune_period", 1, [&] {
     gen::tune_clock_period(*graph, gd.constraints, delays, 0.08);
   });
 
@@ -844,9 +849,12 @@ int cmd_serve(const Args& args) {
     ropt.poll_ms = static_cast<int>(args.get_num("poll-ms", 50));
     replicator = std::make_unique<replica::Replicator>(service, ropt);
     // Converge before accepting clients. The writer may still be starting
-    // (CI launches both at once), so retry the bootstrap for a while.
+    // (CI launches both at once), so retry the bootstrap for a while. The
+    // writer is usually up within milliseconds, so the wait starts at 5 ms
+    // and doubles up to 200 ms.
     const double bootstrap_sec = args.get_num("bootstrap-seconds", 10);
     util::Stopwatch bsw;
+    std::chrono::milliseconds retry_wait(5);
     for (;;) {
       try {
         replicator->bootstrap();
@@ -855,7 +863,8 @@ int cmd_serve(const Args& args) {
         util::check(bsw.elapsed_sec() < bootstrap_sec,
                     std::string("serve: replica bootstrap failed: ") +
                         e.what());
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        std::this_thread::sleep_for(retry_wait);
+        retry_wait = std::min(retry_wait * 2, std::chrono::milliseconds(200));
       }
     }
     service.set_replication_info(&replicator->info());

@@ -518,24 +518,6 @@ void BM_ForwardIncrementalEco(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardIncrementalEco)->Unit(benchmark::kMillisecond);
 
-void BM_ForwardGrainSweep(benchmark::State& state) {
-  // Sweep of the parallel chunk grain of the per-level pin kernel (an
-  // EngineOptions knob): too small pays ticket-dispatch overhead per tiny
-  // chunk, too large starves workers on shallow levels.
-  bench::Bundle& b = shared_bundle();
-  core::EngineOptions opt;
-  opt.top_k = 16;
-  opt.parallel_grain = static_cast<int>(state.range(0));
-  core::Engine engine(*b.sta, opt);
-  for (auto _ : state) {
-    engine.run_forward();
-    benchmark::DoNotOptimize(engine.endpoint_slacks().data());
-  }
-  state.counters["grain"] = static_cast<double>(opt.parallel_grain);
-}
-BENCHMARK(BM_ForwardGrainSweep)->Arg(32)->Arg(128)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
 // ---- MCMM corners axis ------------------------------------------------------
 
 void BM_ForwardCorners(benchmark::State& state) {

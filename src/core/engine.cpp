@@ -31,6 +31,11 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 /// of each float plane).
 constexpr std::size_t kPlaneFillGrain = std::size_t{1} << 14;
 
+/// Soft-min temperature (ps) across endpoints of the WNS gradient seeds.
+/// Separate from EngineOptions::tau, the per-pin LSE temperature of Eq. 6
+/// that the sizers and the placer set.
+constexpr float kWnsTau = 10.0f;
+
 /// Registered-once handles for the engine's hot-path counters. With
 /// telemetry compiled out every handle is an empty no-op stub.
 struct EngineMetrics {
@@ -86,18 +91,6 @@ std::vector<std::string> EngineOptions::validate() const {
   if (!std::isfinite(tau) || tau <= 0.0f) {
     problems.emplace_back("tau must be finite and > 0");
   }
-  if (!std::isfinite(wns_tau) || wns_tau <= 0.0f) {
-    problems.emplace_back("wns_tau must be finite and > 0");
-  }
-  if (parallel_threshold < 0) {
-    problems.emplace_back("parallel_threshold must be >= 0");
-  }
-  if (parallel_grain < 1) problems.emplace_back("parallel_grain must be >= 1");
-  if (endpoint_grain < 1) problems.emplace_back("endpoint_grain must be >= 1");
-  if (!std::isfinite(fast_math_tolerance) || fast_math_tolerance < 0.0f ||
-      fast_math_tolerance >= 1.0f) {
-    problems.emplace_back("fast_math_tolerance must be in [0, 1)");
-  }
   // Corner-consistency checks mirror the analysis::check_corner_setup lint
   // rules; having them here too means no constructor path can accept a
   // corner set the linter would flag.
@@ -125,8 +118,13 @@ std::vector<std::string> EngineOptions::validate() const {
 }
 
 Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
+    : Engine(reference, std::move(options), Parallelism{}) {}
+
+Engine::Engine(const ref::GoldenSta& reference, EngineOptions options,
+               Parallelism par)
     : graph_(&reference.graph()),
       options_(std::move(options)),
+      par_(par),
       exceptions_(reference.exceptions()) {
   if (const std::vector<std::string> problems = options_.validate();
       !problems.empty()) {
@@ -144,7 +142,6 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
   nsigma_ = static_cast<float>(reference.constraints().nsigma);
   num_pins_ = graph_->design().num_pins();
   simd_avx2_ = util::simd::resolve(options_.simd);
-  fast_math_ = options_.fast_math_tolerance > 0.0f && simd_avx2_;
 
   clone_structure(reference);
   clone_delays(reference);
@@ -201,7 +198,7 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
       std::fill_n(tk2_sp_.data() + lo, n, -1);
     }
   };
-  if (options_.parallel) {
+  if (par_.enabled) {
     util::ThreadPool::global().parallel_for_chunks(std::size_t{0}, planes, fill,
                                                    kPlaneFillGrain);
   } else {
@@ -1024,8 +1021,6 @@ void Engine::forward_from(std::size_t first_level) {
   em.forward_passes.inc();
   auto& pool = util::ThreadPool::global();
   const std::size_t num_levels = level_start_.size() - 1;
-  const auto threshold = static_cast<std::size_t>(options_.parallel_threshold);
-  const auto grain = static_cast<std::size_t>(options_.parallel_grain);
   const auto C = static_cast<CornerId>(C_);
   // Level-synchronous independence invariant (Algorithm 1): a pin's fanin
   // sources must all sit at strictly lower levels, otherwise the parallel
@@ -1059,8 +1054,8 @@ void Engine::forward_from(std::size_t first_level) {
       }
       flush_counters(fc);
     };
-    if (options_.parallel && hi - lo >= threshold) {
-      pool.parallel_for_chunks(lo, hi, run, grain);
+    if (par_.enabled && hi - lo >= par_.threshold) {
+      pool.parallel_for_chunks(lo, hi, run, par_.pin_grain);
     } else {
       run(lo, hi);
     }
@@ -1082,9 +1077,8 @@ void Engine::forward_from(std::size_t first_level) {
     fc.endpoints = (b - a) * C_;
     flush_counters(fc);
   };
-  if (options_.parallel && num_eps >= threshold) {
-    pool.parallel_for_chunks(0, num_eps, eval,
-                             static_cast<std::size_t>(options_.endpoint_grain));
+  if (par_.enabled && num_eps >= par_.threshold) {
+    pool.parallel_for_chunks(0, num_eps, eval, par_.endpoint_grain);
   } else {
     eval(0, num_eps);
   }
@@ -1159,8 +1153,7 @@ void Engine::run_forward_sparse_corner(CornerId corner) {
                     static_cast<std::int64_t>(corner));
   LiveStore st(*this, corner);
   const WalkStats stats = walk_frontier(
-      st, frontier_[static_cast<std::size_t>(corner)], walk_,
-      options_.parallel);
+      st, frontier_[static_cast<std::size_t>(corner)], walk_, par_.enabled);
   const std::size_t skipped = ep_pin_.size() - stats.endpoints;
   last_pass_.levels_touched += stats.levels;
   last_pass_.frontier_pins += stats.frontier_pins;
@@ -1373,15 +1366,11 @@ void Engine::compute_weights_pin(std::size_t p, float tau, CornerId corner) {
     const auto rfi = static_cast<std::size_t>(rf);
     const float* cand = bw_cand_[rfi].data() + soff + fs;
     float* w = w_[rfi].data() + soff + fs;
-    if (fast_math_) {
-      softmax_fast_avx2(cand, n, 1.0f / tau, w);
-      continue;
-    }
-    // Default mode: scalar libm exp and strictly sequential denominator in
-    // slot order — byte-identical weights under both kernel flavors (the
-    // candidates themselves are bit-identical, see topk_simd.hpp). Empty
-    // parents carry cand = -inf, so exp contributes exactly +0.0f to the
-    // sum and the stored weight, matching a zero-filled skip.
+    // Scalar libm exp and strictly sequential denominator in slot order —
+    // byte-identical weights under both kernel flavors (the candidates
+    // themselves are bit-identical, see topk_simd.hpp). Empty parents carry
+    // cand = -inf, so exp contributes exactly +0.0f to the sum and the
+    // stored weight, matching a zero-filled skip.
     float m = -kInf;
     for (std::int32_t i = 0; i < n; ++i) m = std::max(m, cand[i]);
     if (!std::isfinite(m)) {
@@ -1465,7 +1454,7 @@ void Engine::run_backward(GradientMetric metric) {
                                 c);
           }
         };
-        if (options_.parallel) {
+        if (par_.enabled) {
           pool.parallel_for_chunks(0, level_pins_.size(), weights, 512);
         } else {
           weights(0, level_pins_.size());
@@ -1507,11 +1496,9 @@ void Engine::run_backward(GradientMetric metric) {
           }
         };
         const std::size_t ns = stale.size();
-        if (options_.parallel &&
-            ns >= static_cast<std::size_t>(options_.parallel_threshold)) {
+        if (par_.enabled && ns >= par_.threshold) {
           pool.parallel_for_chunks(std::size_t{0}, ns, sparse_weights,
-                                   static_cast<std::size_t>(
-                                       options_.parallel_grain));
+                                   par_.pin_grain);
         } else {
           sparse_weights(0, ns);
         }
@@ -1555,19 +1542,18 @@ void Engine::run_backward(GradientMetric metric) {
         }
       }
       if (any) {
-        const float wtau = std::max(options_.wns_tau, 1e-4f);
         double denom = 0.0;
         for (std::size_t e = 0; e < num_eps; ++e) {
           const float s = slack_[eoff + e];
           if (std::isfinite(s) && s < 0.0f) {
-            denom += std::exp(static_cast<double>((smin - s) / wtau));
+            denom += std::exp(static_cast<double>((smin - s) / kWnsTau));
           }
         }
         for (std::size_t e = 0; e < num_eps; ++e) {
           const float s = slack_[eoff + e];
           if (!std::isfinite(s) || s >= 0.0f) continue;
           const float seed = static_cast<float>(
-              std::exp(static_cast<double>((smin - s) / wtau)) / denom);
+              std::exp(static_cast<double>((smin - s) / kWnsTau)) / denom);
           pin_grad_[poff2 + static_cast<std::size_t>(ep_pin_[e]) * 2 +
                     ep_worst_rf_[eoff + e]] += seed;
         }
@@ -1607,8 +1593,8 @@ void Engine::run_backward(GradientMetric metric) {
           }
         }
       };
-      if (options_.parallel && hi - lo >= 512) {
-        pool.parallel_for_chunks(lo, hi, pull, 256);
+      if (par_.enabled && hi - lo >= par_.threshold) {
+        pool.parallel_for_chunks(lo, hi, pull, par_.endpoint_grain);
       } else {
         pull(lo, hi);
       }

@@ -26,7 +26,8 @@ class LintReport;  // analysis/diagnostics.hpp
 
 namespace insta::core {
 
-class ScenarioBatch;  // core/scenario_batch.hpp
+class ScenarioBatch;    // core/scenario_batch.hpp
+struct EngineTestPeer;  // tests/engine_test_peer.hpp
 
 /// Index of one analysis corner within an engine. Valid ids are
 /// [0, num_corners()); kAllCorners broadcasts an annotation to every corner.
@@ -56,32 +57,12 @@ struct EngineOptions {
   /// approach the hard max; larger values spread gradient across
   /// sub-critical paths.
   float tau = 10.0f;
-  /// Soft-min temperature (ps) across endpoints used for WNS gradient seeds.
-  float wns_tau = 10.0f;
   /// Kernel flavor of the merge/backward hot loops. kAuto picks AVX2 when
   /// compiled in and supported (overridable with INSTA_SIMD=off in the
   /// environment); kScalar pins the reference flavor; kAvx2 is a hard
   /// requirement that fails construction when unavailable. Both flavors
-  /// are bit-identical in the default numeric mode.
+  /// are bit-identical.
   util::simd::SimdMode simd = util::simd::SimdMode::kAuto;
-  /// Documented relative error bound of the fast-math backward softmax
-  /// (vectorized polynomial exp + reassociated LSE denominator). 0 (the
-  /// default) keeps the bit-identity mode: scalar libm exp, sequential
-  /// sums, gradients byte-identical across kernel flavors. A positive
-  /// value enables the fast path (AVX2 builds only) and states the maximum
-  /// relative arc-gradient drift the caller accepts vs the default mode;
-  /// the engine's kernels stay within 1e-3 (see DESIGN.md §14).
-  float fast_math_tolerance = 0.0f;
-  /// Level-parallel execution on the global thread pool.
-  bool parallel = true;
-  /// Minimum number of work items (level pins, frontier pins, endpoints)
-  /// before a loop is offloaded to the thread pool; smaller loops run
-  /// inline on the calling thread.
-  int parallel_threshold = 512;
-  /// Minimum chunk size handed to one worker in the per-level pin kernels.
-  int parallel_grain = 128;
-  /// Minimum chunk size for endpoint slack evaluation.
-  int endpoint_grain = 256;
   /// Also propagate early (minimum) arrivals and evaluate hold checks.
   /// Doubles the Top-K storage. The reference engine must have been built
   /// with the matching GoldenOptions::enable_hold. Off by default: the
@@ -555,6 +536,27 @@ class Engine {
   /// walk against copy-on-write overlays of the flat stores; it is a
   /// read-only friend of everything the forward pass reads.
   friend class ScenarioBatch;
+  /// Tests pin the serial loops, or push a tiny design through the pool
+  /// kernels, through this friend; every other engine splits its work by
+  /// the Parallelism defaults.
+  friend struct EngineTestPeer;
+
+  /// How the engine's loops split onto the global thread pool.
+  struct Parallelism {
+    /// Off: every loop, the constructor's plane fill included, runs inline
+    /// on the calling thread.
+    bool enabled = true;
+    /// Minimum work items (level pins, frontier pins, endpoints) before a
+    /// loop goes to the pool; smaller loops run inline.
+    std::size_t threshold = 512;
+    /// Minimum chunk of the per-level pin kernels.
+    std::size_t pin_grain = 128;
+    /// Minimum chunk of endpoint evaluation and of the backward pull.
+    std::size_t endpoint_grain = 256;
+  };
+
+  Engine(const ref::GoldenSta& reference, EngineOptions options,
+         Parallelism par);
 
   void clone_structure(const ref::GoldenSta& reference);
   void clone_delays(const ref::GoldenSta& reference);
@@ -895,6 +897,7 @@ class Engine {
 
   const timing::TimingGraph* graph_;
   EngineOptions options_;
+  Parallelism par_;
   float nsigma_ = 3.0f;
 
   /// Resolved corner list (never empty; [0] is the implicit default corner
@@ -905,9 +908,6 @@ class Engine {
   /// Resolved kernel dispatch (util::simd::resolve on options_.simd): true
   /// selects the AVX2 flavors for every merge/backward kernel call.
   bool simd_avx2_ = false;
-  /// True when fast_math_tolerance > 0 and the AVX2 flavor is active: the
-  /// backward softmax runs the vectorized-exp path.
-  bool fast_math_ = false;
 
   std::size_t num_pins_ = 0;
   std::size_t num_slots_ = 0;  ///< fanin slots (fi_from_.size())
@@ -1043,9 +1043,8 @@ class Engine {
 
   /// Recomputes the Eq. 6 weights of one pin (both transitions) in one
   /// corner from the bw_cand_ scratch, writing w_[rf][slot_off(c)+fs, +fe).
-  /// Default mode: scalar libm exp + sequential denominator (bit-identical
-  /// across kernel flavors); fast_math_ mode: vectorized exp +
-  /// reassociated sums.
+  /// Scalar libm exp + sequential denominator, so the weights are
+  /// bit-identical across kernel flavors.
   void compute_weights_pin(std::size_t p, float tau, CornerId corner);
   /// Marks one pin's weights stale in one corner (no-op unless tracking).
   void mark_weights_stale(netlist::PinId pin, CornerId corner);
@@ -1180,11 +1179,10 @@ Engine::WalkStats Engine::walk_frontier(Store& st, Frontier& fr,
                                         WalkScratch& scratch,
                                         bool parallel) const {
   auto& pool = util::ThreadPool::global();
-  const auto threshold = static_cast<std::size_t>(options_.parallel_threshold);
-  const auto for_chunks = [&](std::size_t n, int grain, const auto& fn) {
-    if (parallel && n >= threshold) {
-      pool.parallel_for_chunks(std::size_t{0}, n, fn,
-                               static_cast<std::size_t>(grain));
+  const auto for_chunks = [&](std::size_t n, std::size_t grain,
+                               const auto& fn) {
+    if (parallel && n >= par_.threshold) {
+      pool.parallel_for_chunks(std::size_t{0}, n, fn, grain);
     } else {
       fn(std::size_t{0}, n);
     }
@@ -1232,7 +1230,7 @@ Engine::WalkStats Engine::walk_frontier(Store& st, Frontier& fr,
     };
     scratch.changed.assign(pins.size(), 0);
     scratch.slab.ensure(pins.size() * lists, k);
-    for_chunks(pins.size(), options_.parallel_grain, merge);
+    for_chunks(pins.size(), par_.pin_grain, merge);
 
     // Phase 2 (serial, so the frontier order is deterministic): a changed
     // pin is published, queues its endpoint and dirties its fanout (always
@@ -1286,7 +1284,7 @@ Engine::WalkStats Engine::walk_frontier(Store& st, Frontier& fr,
   scratch.setup.resize(nd);
   scratch.worst_rf.resize(nd);
   if (hold) scratch.hold.resize(nd);
-  for_chunks(nd, options_.endpoint_grain, evaluate);
+  for_chunks(nd, par_.endpoint_grain, evaluate);
   const std::size_t eoff = ep_off(st.corner);
   for (std::size_t i = 0; i < nd; ++i) {
     const std::size_t e = eoff + static_cast<std::size_t>(fr.eps[i]);

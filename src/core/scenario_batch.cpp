@@ -321,7 +321,7 @@ void ScenarioBatch::run_scenario_corner(
   OverlayStore st{ws, corner, {Engine::LiveValues(e, corner), ws},
                   e.agg_[static_cast<std::size_t>(corner)]};
   const Engine::WalkStats stats = e.walk_frontier(
-      st, ws.fr, ws.walk, level_parallel && e.options_.parallel);
+      st, ws.fr, ws.walk, level_parallel && e.par_.enabled);
   const bool hold = e.options_.enable_hold;
   const std::size_t eoff = e.ep_off(corner);
   // The corner's slack plane with the re-evaluated endpoints substituted.
@@ -393,28 +393,17 @@ std::vector<ScenarioResult> ScenarioBatch::evaluate(
   std::vector<ScenarioResult> results(num_scenarios);
   if (num_scenarios == 0) return results;
 
-  bool scenario_parallel = false;
-  switch (options_.strategy) {
-    case ScenarioStrategy::kScenarioParallel:
-      scenario_parallel = true;
-      break;
-    case ScenarioStrategy::kLevelParallel:
-      scenario_parallel = false;
-      break;
-    case ScenarioStrategy::kAuto:
-      scenario_parallel = num_scenarios >= 4;
-      break;
-  }
-
   const std::size_t num_corners = e.C_;
   const std::size_t num_cells = num_scenarios * num_corners;
   std::vector<Cell> cells(num_cells);
   const auto cells_of = [&cells, num_corners](std::size_t s) {
     return std::span<Cell>(cells).subspan(s * num_corners, num_corners);
   };
-  if (scenario_parallel) {
-    // Cells, not scenarios, are the unit of dispatch, so a heavy scenario's
-    // corners run on different threads. run_chunked would merge
+  if (num_scenarios >= 4) {
+    // Many scenarios (many small ECOs): one worker per (scenario, corner)
+    // cell, each cell propagating serially with no synchronization between
+    // levels. Cells, not scenarios, are the unit of dispatch, so a heavy
+    // scenario's corners run on different threads. run_chunked would merge
     // consecutive cells into one chunk (it caps a launch at
     // 4 × (workers + 1) chunks), so the launch instead starts one puller
     // per thread, and each pulls single cells, scenario-major, off a shared
@@ -448,6 +437,8 @@ std::vector<ScenarioResult> ScenarioBatch::evaluate(
         },
         /*grain=*/1);
   } else {
+    // Few scenarios (few large ones): cells run one at a time, and each
+    // borrows the engine's level-parallel kernels for its own frontier.
     Workspace& ws = acquire_workspace();
     for (std::size_t s = 0; s < num_scenarios; ++s) {
       for (std::size_t c = 0; c < num_corners; ++c) {

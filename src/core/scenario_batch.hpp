@@ -13,24 +13,7 @@
 
 namespace insta::core {
 
-/// How ScenarioBatch::evaluate maps scenarios onto the global thread pool.
-enum class ScenarioStrategy : std::uint8_t {
-  /// Scenario-parallel for B >= 4 (many small ECOs), level-parallel
-  /// otherwise (few large ones).
-  kAuto,
-  /// One worker per (scenario, corner) cell; each cell propagates serially.
-  /// Best when B is large and frontiers are small: every core retires whole
-  /// cells with zero synchronization between levels, and a heavy
-  /// scenario's corners still spread over different cores.
-  kScenarioParallel,
-  /// Cells evaluated one at a time; each borrows the engine's
-  /// level-parallel kernels for its own frontier. Best when B is small and
-  /// the frontiers are wide enough to split.
-  kLevelParallel,
-};
-
 struct ScenarioBatchOptions {
-  ScenarioStrategy strategy = ScenarioStrategy::kAuto;
   /// Also record each re-evaluated endpoint's scenario slack in
   /// ScenarioResult::endpoint_changes (the sparse analogue of
   /// Engine::endpoint_slacks for a hypothetical child engine).
@@ -103,6 +86,11 @@ class ScenarioBatch {
   /// Evaluates B delta-sets; result i corresponds to scenarios[i]. Every
   /// delta-set is validated up front (Engine::check_deltas) and the first
   /// error aborts the batch with a CheckError naming the scenario.
+  ///
+  /// Dispatch follows B: at B >= 4 every (scenario, corner) cell is one
+  /// pool task that propagates serially; below that the cells run one at
+  /// a time, each on the engine's level-parallel kernels. Results are the
+  /// same bytes either way.
   ///
   /// When `flow_ids` is non-empty it must be scenario-parallel (size B):
   /// the "scenario.run" trace span of each of scenario i's (scenario,

@@ -670,97 +670,6 @@ __attribute__((target("avx2"))) void backward_cand_avx2(
   }
 }
 
-namespace {
-
-/// Cephes-style polynomial expf over a vector: max error ~2 ulp on the
-/// softmax domain (inputs <= 0 here, since cand - max <= 0). Tolerance
-/// mode only; never used on the bit-identity paths.
-__attribute__((target("avx2"))) inline __m256 exp_ps(__m256 x) {
-  const __m256 hi = _mm256_set1_ps(88.3762626647950f);
-  const __m256 lo = _mm256_set1_ps(-88.3762626647949f);
-  const __m256 log2e = _mm256_set1_ps(1.44269504088896341f);
-  const __m256 c1 = _mm256_set1_ps(0.693359375f);
-  const __m256 c2 = _mm256_set1_ps(-2.12194440e-4f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-
-  x = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
-  __m256 fx = _mm256_add_ps(_mm256_mul_ps(x, log2e), half);
-  fx = _mm256_floor_ps(fx);
-  x = _mm256_sub_ps(x, _mm256_mul_ps(fx, c1));
-  x = _mm256_sub_ps(x, _mm256_mul_ps(fx, c2));
-
-  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(1.3981999507e-3f));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(8.3334519073e-3f));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(4.1665795894e-2f));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(1.6666665459e-1f));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), half);
-  y = _mm256_add_ps(_mm256_mul_ps(y, _mm256_mul_ps(x, x)),
-                    _mm256_add_ps(x, one));
-
-  const __m256i pow2 = _mm256_slli_epi32(
-      _mm256_add_epi32(_mm256_cvttps_epi32(fx), _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2));
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void softmax_fast_avx2(const float* cand,
-                                                       std::int32_t n,
-                                                       float inv_tau,
-                                                       float* w) {
-  // Max reduction: exact regardless of lane order (max is associative and
-  // commutative over floats without NaN).
-  __m256 vmax = _mm256_set1_ps(kNegInf);
-  std::int32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(cand + i));
-  }
-  alignas(32) float mlanes[8];
-  _mm256_store_ps(mlanes, vmax);
-  float m = mlanes[0];
-  for (int l = 1; l < 8; ++l) m = std::max(m, mlanes[l]);
-  for (; i < n; ++i) m = std::max(m, cand[i]);
-  if (!std::isfinite(m)) {
-    for (std::int32_t j = 0; j < n; ++j) w[j] = 0.0f;
-    return;
-  }
-
-  // exp + reassociated denominator (8 partial sums): the ULP-drift source
-  // this mode documents.
-  const __m256 vm = _mm256_set1_ps(m);
-  const __m256 vit = _mm256_set1_ps(inv_tau);
-  const __m256 vneginf = _mm256_set1_ps(kNegInf);
-  __m256 acc = _mm256_setzero_ps();
-  for (i = 0; i + 8 <= n; i += 8) {
-    const __m256 c = _mm256_loadu_ps(cand + i);
-    // exp_ps clamps its argument, so a -inf candidate (empty parent)
-    // would leak a denormal weight; force those lanes to exact zero.
-    const __m256 e =
-        _mm256_andnot_ps(_mm256_cmp_ps(c, vneginf, _CMP_EQ_OQ),
-                         exp_ps(_mm256_mul_ps(_mm256_sub_ps(c, vm), vit)));
-    _mm256_storeu_ps(w + i, e);
-    acc = _mm256_add_ps(acc, e);
-  }
-  alignas(32) float slanes[8];
-  _mm256_store_ps(slanes, acc);
-  float denom = 0.0f;
-  for (int l = 0; l < 8; ++l) denom += slanes[l];
-  for (; i < n; ++i) {
-    const float e = std::exp((cand[i] - m) * inv_tau);
-    w[i] = e;
-    denom += e;
-  }
-  if (denom <= 0.0f) return;
-  const __m256 vinv = _mm256_set1_ps(1.0f / denom);
-  for (i = 0; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(w + i, _mm256_mul_ps(_mm256_loadu_ps(w + i), vinv));
-  }
-  const float inv = 1.0f / denom;
-  for (; i < n; ++i) w[i] *= inv;
-}
-
 #else  // !INSTA_SIMD_COMPILED
 
 // INSTA_SIMD=OFF builds carry no AVX2 code; util::simd::resolve() never
@@ -775,10 +684,6 @@ void backward_cand_avx2(const float*, const float*, const std::int32_t*,
                         const std::int32_t*, std::int32_t, const float*,
                         const float*, std::int32_t, float, float*) {
   util::check(false, "backward_cand_avx2: AVX2 kernels not compiled in");
-}
-
-void softmax_fast_avx2(const float*, std::int32_t, float, float*) {
-  util::check(false, "softmax_fast_avx2: AVX2 kernels not compiled in");
 }
 
 #endif  // INSTA_SIMD_COMPILED

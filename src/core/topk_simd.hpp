@@ -10,9 +10,7 @@
 // as2), arrival = +/-(mu -/+ nsigma*sig)) is element-wise — one rounding
 // per operation, no reassociation — and the AVX2 bodies use only
 // mul/add/sub/sqrt/xor intrinsics, which GCC never contracts into FMA, so
-// every lane rounds exactly like the scalar expression. Only the
-// explicitly "fast" kernels (softmax_fast_avx2) trade bit-identity for
-// throughput; they are gated behind EngineOptions::fast_math_tolerance.
+// every lane rounds exactly like the scalar expression.
 
 #include <cstdint>
 
@@ -109,15 +107,5 @@ inline void backward_cand(bool use_avx2, const float* tk_mu,
                          nsigma, out_cand);
   }
 }
-
-// ---- backward: fast-math softmax (tolerance mode only) ----------------------
-
-/// Vectorized softmax over cand[0, n) into w[0, n): vector max reduction
-/// (exact — max reassociates), polynomial exp (~2 ulp vs libm), 8-lane
-/// reassociated denominator. NOT bit-identical to the scalar softmax; only
-/// called when EngineOptions::fast_math_tolerance > 0. Writes 0 everywhere
-/// and returns when every candidate is -inf (empty pin).
-void softmax_fast_avx2(const float* cand, std::int32_t n, float inv_tau,
-                       float* w);
 
 }  // namespace insta::core

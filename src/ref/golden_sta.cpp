@@ -115,7 +115,6 @@ void GoldenSta::finalize_entries(PinId pin, RiseFall rf,
       entries.pop_back();
     }
   }
-  if (entries.size() > options_.max_entries) entries.resize(options_.max_entries);
 #ifndef NDEBUG
   // Algorithm 1 invariant: after finalize the set is unique per startpoint and
   // sorted by corner (worst first). The Top-K engine's seeding relies on this.
@@ -299,11 +298,7 @@ void GoldenSta::update_full() {
       }
       kept.fetch_add(n, std::memory_order_relaxed);
     };
-    if (options_.parallel) {
-      pool.parallel_for_chunks(0, pins.size(), process, 64);
-    } else {
-      process(0, pins.size());
-    }
+    pool.parallel_for_chunks(0, pins.size(), process, 64);
   }
   pins_propagated.add(last_pins_);
   num_entries_ = kept.load(std::memory_order_relaxed);

@@ -34,10 +34,6 @@ struct GoldenOptions {
   /// dropped, which can lose slack-deciding entries under CPPR or timing
   /// exceptions; infinity disables pruning (the unpruned engine).
   std::optional<double> prune_window;
-  /// Hard cap on entries kept per pin/transition (SIZE_MAX: no cap).
-  std::size_t max_entries = std::numeric_limits<std::size_t>::max();
-  /// Propagate each level on the global thread pool (false: serially).
-  bool parallel = true;
   /// Also propagate early (minimum) arrivals and evaluate hold checks —
   /// the min-mode analysis a signoff engine runs alongside setup. Off by
   /// default: the paper's experiments are setup-only.

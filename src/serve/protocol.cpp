@@ -209,13 +209,6 @@ bool parse_request(std::string_view line, Request& out, LintReport& report) {
     return false;
   }
   out.max = static_cast<int>(max);
-  std::int64_t protocol = 0;
-  if (!get_int(doc, "protocol", protocol, kRule, report)) return false;
-  if (doc.find("protocol") != nullptr && protocol < 1) {
-    add_error(report, kRule, "\"protocol\" must be >= 1");
-    return false;
-  }
-  out.protocol = static_cast<int>(protocol);
   std::int64_t from = 0;
   if (!get_int(doc, "from", from, kRule, report)) return false;
   if (from < 0) {
@@ -406,24 +399,12 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
                                     ReplyTiming& timing) {
   const std::string& op = req.op;
 
-  // Version negotiation: a request carrying "protocol" pins the connection
-  // to min(requested, kProtocolVersion) from this request on (a client
-  // asking for a newer version than the server speaks gets the server's).
-  if (req.protocol > 0) {
-    proto_version_ = std::min(req.protocol, kProtocolVersion);
-  }
-  // Corner selection is a version-2 feature; resolve it once for the ops
-  // that accept it. ci stays -1 for the merged view.
+  // Corner selection: resolve it once for the ops that accept it. ci stays
+  // -1 for the merged view.
   std::int64_t ci = -1;
   if (req.has_corner &&
       (op == "summary" || op == "endpoints" || op == "whatif" ||
        op == "info")) {
-    if (proto_version_ < 2) {
-      return error_reply(req.id, ErrorCode::kBadRequest,
-                         "\"corner\" requires protocol >= 2 (connection "
-                         "negotiated " +
-                             std::to_string(proto_version_) + ")");
-    }
     const auto snap = service_->snapshot();
     ci = find_corner(snap->corners, req);
     if (ci < 0) {
@@ -450,16 +431,13 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
         ", \"endpoints\": " + std::to_string(snap->slack.size()) +
         ", \"arcs\": " + std::to_string(e.graph().num_arcs()) +
         ", \"hold\": " + (snap->has_hold ? "true" : "false") +
-        ", \"protocol\": " + std::to_string(proto_version_);
-    if (proto_version_ >= 2) {
-      body += ", \"corners\": [";
-      for (std::size_t c = 0; c < snap->corners.size(); ++c) {
-        if (c != 0) body += ", ";
-        body += "\"" + telemetry::json_escape(snap->corners[c]) + "\"";
-      }
-      body += "]";
+        ", \"protocol\": " + std::to_string(kProtocolVersion) +
+        ", \"corners\": [";
+    for (std::size_t c = 0; c < snap->corners.size(); ++c) {
+      if (c != 0) body += ", ";
+      body += "\"" + telemetry::json_escape(snap->corners[c]) + "\"";
     }
-    body += "}";
+    body += "]}";
     return ok_reply(req.id, body);
   }
 
@@ -699,11 +677,11 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
             ", \"p95\": " + telemetry::json_number(lat.percentile(0.95)) +
             ", \"p99\": " + telemetry::json_number(lat.percentile(0.99)) +
             ", \"max\": " + telemetry::json_number(lat.max) + "}";
-    // Deployment identity: the negotiated protocol, the committed engine
+    // Deployment identity: the protocol version, the committed engine
     // generation, and the corner list, so a fleet orchestrator can tell
     // from one stats poll whether a replica has converged.
     const auto ssnap = service_->snapshot();
-    body += ", \"protocol\": " + std::to_string(proto_version_) +
+    body += ", \"protocol\": " + std::to_string(kProtocolVersion) +
             ", \"generation\": " + std::to_string(ssnap->version) +
             ", \"corners\": [";
     for (std::size_t c = 0; c < ssnap->corners.size(); ++c) {
@@ -735,12 +713,6 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
   if (op == "sync") {
     // Full-state bootstrap: the complete timing state at one committed
     // generation, as one base64-wrapped binary frame.
-    if (proto_version_ < 3) {
-      return error_reply(req.id, ErrorCode::kBadRequest,
-                         "\"sync\" requires protocol >= 3 (connection "
-                         "negotiated " +
-                             std::to_string(proto_version_) + ")");
-    }
     const std::int64_t ser0 = proto_now_ns();
     const core::EngineState st = service_->export_state();
     const std::string frame = replica::encode_snapshot(st);
@@ -753,12 +725,6 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
   }
 
   if (op == "delta_stream") {
-    if (proto_version_ < 3) {
-      return error_reply(req.id, ErrorCode::kBadRequest,
-                         "\"delta_stream\" requires protocol >= 3 "
-                         "(connection negotiated " +
-                             std::to_string(proto_version_) + ")");
-    }
     const std::int64_t ser0 = proto_now_ns();
     std::vector<replica::CommitRecord> recs;
     const bool in_window = service_->delta_log().since(req.from, recs);

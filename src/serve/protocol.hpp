@@ -19,22 +19,24 @@
 // whatif --scenarios` schema, so one parser (parse_scenarios_json) serves
 // both the file-based CLI path and the wire.
 //
-// Corners (protocol 2): summary, endpoints, and whatif accept an optional
-// "corner" member — a corner name or integer id — selecting one corner's
-// view; absent means the cross-corner merged view. An unknown corner is
-// rejected with code "unknown-corner". info reports the negotiated
-// "protocol" version and the engine's "corners" name list; a client may pin
-// an older version with {"protocol": 1}, which suppresses the corner
-// features for the rest of the connection.
+// The server speaks one protocol, version kProtocolVersion; info and stats
+// report it as "protocol".
 //
-// Replication (protocol 3): "sync" returns the engine's full timing state
-// as {"generation": G, "snapshot": "<base64 frame>"} (the versioned binary
+// Corners: summary, endpoints, and whatif accept an optional "corner"
+// member — a corner name or integer id — selecting one corner's view;
+// absent means the cross-corner merged view. An unknown corner is rejected
+// with code "unknown-corner". info reports the engine's "corners" name
+// list.
+//
+// Replication: "sync" returns the engine's full timing state as
+// {"generation": G, "snapshot": "<base64 frame>"} (the versioned binary
 // codec of src/replica/codec.hpp); "delta_stream" with {"from": F} returns
 // the commit deltas after generation F as {"from": F, "generation": G,
 // "resync": bool, "deltas": ["<base64 frame>", ...]} — resync true means F
 // has fallen out of the retained window (or is ahead of the writer) and the
-// client must take a fresh snapshot. stats gains "protocol", "generation",
-// "corners", "read_only", "whatif_cache", and (on replicas) "replication".
+// client must take a fresh snapshot. stats carries "protocol",
+// "generation", "corners", "read_only", "whatif_cache", and (on replicas)
+// "replication".
 //
 // Request tracing: a request that carries no "id" (or id 0) is assigned a
 // fresh positive one by the dispatcher, and the reply echoes whichever id
@@ -62,15 +64,11 @@
 
 namespace insta::serve {
 
-/// Wire protocol version. Version 2 added the corner dimension: the
-/// optional "corner" request field on summary/endpoints/whatif (absent =
-/// cross-corner merged view), the "corners"/"protocol" members of info, and
-/// the "protocol" request field for version negotiation (a client may pin
-/// any version in [1, kProtocolVersion]; version-1 connections are served
-/// the pre-corner protocol and corner selections are rejected). Version 3
-/// added replication: the "sync" and "delta_stream" ops and the extended
-/// stats reply (protocol/generation/corners/read_only/whatif_cache/
-/// replication members).
+/// Wire protocol version, reported by info and stats. Version 2 added the
+/// corner dimension (the "corner" request field, the "corners" member of
+/// info); version 3 added replication (the "sync" and "delta_stream" ops
+/// and the extended stats reply). Connections cannot pick an older
+/// version: every connection gets every feature.
 inline constexpr int kProtocolVersion = 3;
 
 /// One decoded request line.
@@ -80,7 +78,6 @@ struct Request {
   SessionId session = -1;  ///< -1: use the connection's implicit session
   int worst = 0;           ///< endpoints op: N worst-slack endpoints
   int max = 0;             ///< trace/flightrec ops: entry cap (0: default)
-  int protocol = 0;        ///< "protocol" negotiation field (0: not present)
   /// delta_stream op: resume after this applied generation ("from" field).
   std::uint64_t from = 0;
   /// Corner selection ("corner" field): a corner name or an integer corner
@@ -174,9 +171,6 @@ class Dispatcher {
   DispatcherOptions options_;
   std::vector<SessionId> owned_;
   SessionId implicit_ = -1;
-  /// Negotiated protocol version of this connection: kProtocolVersion until
-  /// a request carries "protocol", then min(requested, kProtocolVersion).
-  int proto_version_ = kProtocolVersion;
 };
 
 }  // namespace insta::serve

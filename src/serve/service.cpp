@@ -113,7 +113,6 @@ TimingService::TimingService(core::Engine& engine, ServiceOptions options)
     : engine_(&engine),
       options_(options),
       batch_(engine, core::ScenarioBatchOptions{
-                         .strategy = core::ScenarioStrategy::kAuto,
                          .collect_endpoints = options.collect_endpoints}),
       delta_log_(options.delta_log_capacity < 1
                      ? 1

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/engine.hpp"
+#include "engine_test_peer.hpp"
 #include "gen/changelist.hpp"
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
@@ -116,12 +117,8 @@ TEST_P(EngineExtra, ArrivalListsAreSortedWithUniqueStartpoints) {
 
 TEST_P(EngineExtra, ParallelAndSerialForwardAgree) {
   Fixture f(GetParam());
-  core::EngineOptions par;
-  par.parallel = true;
-  core::EngineOptions ser;
-  ser.parallel = false;
-  core::Engine a(*f.sta, par);
-  core::Engine b(*f.sta, ser);
+  core::Engine a(*f.sta);
+  core::Engine b = core::EngineTestPeer::serial(*f.sta);
   a.run_forward();
   b.run_forward();
   for (std::size_t e = 0; e < f.graph->endpoints().size(); ++e) {

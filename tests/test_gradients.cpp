@@ -89,9 +89,7 @@ TEST_P(Gradients, EndpointSeedsAreConserved) {
 /// to ~1 over the violating endpoints, concentrated on the worst one.
 TEST_P(Gradients, WnsSeedsSumToOne) {
   Fixture f(GetParam());
-  core::EngineOptions opt;
-  opt.wns_tau = 5.0f;
-  core::Engine engine(*f.sta, opt);
+  core::Engine engine(*f.sta);
   engine.run_forward();
   engine.run_backward(core::GradientMetric::kWns);
   double total = 0.0;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/engine.hpp"
+#include "engine_test_peer.hpp"
 #include "gen/changelist.hpp"
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
@@ -221,8 +222,9 @@ TEST(IncrementalForwardMulticlock, MatchesFullForwardBitIdentical) {
 
 /// Randomized ECO sequences with hold analysis enabled: both the late
 /// (setup) and negated-early (hold) stores ride the same frontier, and both
-/// slack arrays must stay bit-identical. Thresholds are forced to zero so
-/// the sparse pass exercises the thread-pool path even on a tiny design.
+/// slack arrays must stay bit-identical. The engines run every loop on the
+/// pool, so the sparse pass exercises the thread-pool path even on a tiny
+/// design.
 TEST(IncrementalForwardHold, MatchesFullForwardBitIdentical) {
   for (const std::uint64_t seed : {151u, 152u}) {
     gen::GeneratedDesign gd = gen::build_logic_block(gen::tiny_spec(seed));
@@ -238,11 +240,8 @@ TEST(IncrementalForwardHold, MatchesFullForwardBitIdentical) {
 
     core::EngineOptions eopt;
     eopt.enable_hold = true;
-    eopt.parallel_threshold = 0;
-    eopt.parallel_grain = 1;
-    eopt.endpoint_grain = 1;
-    core::Engine inc(sta, eopt);
-    core::Engine full(sta, eopt);
+    core::Engine inc = core::EngineTestPeer::pooled(sta, eopt);
+    core::Engine full = core::EngineTestPeer::pooled(sta, eopt);
     inc.run_forward();
     full.run_forward();
 

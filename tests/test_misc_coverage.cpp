@@ -149,9 +149,7 @@ TEST(Hpwl, MatchesHandComputedBoundingBoxes) {
 /// of the WNS endpoint receives the largest endpoint seed.
 TEST(GradientSemantics, WnsSeedConcentratesOnWorstEndpoint) {
   Fixture f(208);
-  core::EngineOptions opt;
-  opt.wns_tau = 1.0f;  // sharp soft-min
-  core::Engine engine(*f.sta, opt);
+  core::Engine engine(*f.sta);
   engine.run_forward();
   engine.run_backward(core::GradientMetric::kWns);
   float worst_seed = -1.0f;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "engine_test_peer.hpp"
 #include "gen/changelist.hpp"
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
@@ -556,10 +557,9 @@ TEST(EngineState, ExportRequiresCleanCommittedState) {
   EXPECT_TRUE(engine->export_state().generation == engine->generation());
 }
 
-/// The constructor fills the Top-K planes on the thread pool when
-/// EngineOptions::parallel is set and serially otherwise. Either way the
-/// image must come out byte for byte the same, lanes past each list's count
-/// included.
+/// The constructor fills the Top-K planes on the thread pool, or serially
+/// in an engine whose loops are pinned inline. Either way the image must
+/// come out byte for byte the same, lanes past each list's count included.
 TEST(EngineState, ParallelConstructionMatchesSerialByteForByte) {
   gen::LogicBlockSpec spec = gen::tiny_spec(37);
   spec.num_gates = 3000;  // the planes span several fill chunks
@@ -574,8 +574,7 @@ TEST(EngineState, ParallelConstructionMatchesSerialByteForByte) {
       opt.enable_hold = hold;
       opt.corners = corner_set(corners);
       core::Engine par(*f.sta, opt);
-      opt.parallel = false;
-      core::Engine ser(*f.sta, opt);
+      core::Engine ser = core::EngineTestPeer::serial(*f.sta, opt);
       par.run_forward();
       ser.run_forward();
       expect_state_eq(par.export_state(), ser.export_state());
@@ -778,6 +777,26 @@ TEST(ServiceReplication, SocketReplicationConvergesAndRestartUsesDeltasOnly) {
     EXPECT_EQ(rep.info().applied_deltas.load(), 3u);
     EXPECT_NE(rep.info().last_lag_us.load(), -1);  // at least one apply ran
     expect_state_eq(replica_svc.export_state(), writer.export_state());
+
+    // The converged replica answers a what-if with the writer's bytes.
+    util::Rng probe_rng(71);
+    const auto probe = f.make_scenarios(probe_rng, 1);
+    ASSERT_FALSE(probe.empty());
+    serve::SessionId wsid = -1;
+    serve::SessionId rsid = -1;
+    ASSERT_TRUE(writer.open_session(wsid).ok());
+    ASSERT_TRUE(replica_svc.open_session(rsid).ok());
+    serve::TimingService::WhatifReply wrep;
+    serve::TimingService::WhatifReply rrep;
+    ASSERT_TRUE(writer.whatif(wsid, {probe[0]}, wrep).ok());
+    ASSERT_TRUE(replica_svc.whatif(rsid, {probe[0]}, rrep).ok());
+    EXPECT_EQ(rrep.version, wrep.version);
+    ASSERT_EQ(rrep.results.size(), 1u);
+    ASSERT_EQ(wrep.results.size(), 1u);
+    EXPECT_EQ(rrep.results[0].setup, wrep.results[0].setup);
+    EXPECT_EQ(rrep.results[0].setup_by_corner, wrep.results[0].setup_by_corner);
+    ASSERT_TRUE(writer.close_session(wsid).ok());
+    ASSERT_TRUE(replica_svc.close_session(rsid).ok());
   }
 
   // Two more commits land while no replica is running.

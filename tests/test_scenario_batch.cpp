@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -8,6 +9,7 @@
 #include "analysis/diagnostics.hpp"
 #include "core/engine.hpp"
 #include "core/scenario_batch.hpp"
+#include "engine_test_peer.hpp"
 #include "gen/changelist.hpp"
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
@@ -24,7 +26,6 @@ using core::Mode;
 using core::ScenarioBatch;
 using core::ScenarioBatchOptions;
 using core::ScenarioResult;
-using core::ScenarioStrategy;
 using core::SlackSummary;
 using timing::ArcDelta;
 
@@ -126,6 +127,23 @@ void expect_scenarios_match(core::Engine& engine, ScenarioBatch& batch,
   }
 }
 
+/// expect_scenarios_match under both dispatch shapes: the whole set in one
+/// call (one pool task per cell once B >= 4), then in calls of at most
+/// three scenarios (cells on the engine's level-parallel kernels).
+void expect_scenarios_match_both_shapes(
+    core::Engine& engine, ScenarioBatch& batch,
+    const std::vector<std::vector<ArcDelta>>& scen) {
+  expect_scenarios_match(engine, batch, scen);
+  for (std::size_t i = 0; i < scen.size(); i += 3) {
+    const auto at = [&scen](std::size_t n) {
+      return scen.begin() + static_cast<std::ptrdiff_t>(n);
+    };
+    const std::vector<std::vector<ArcDelta>> part(
+        at(i), at(std::min(i + 3, scen.size())));
+    expect_scenarios_match(engine, batch, part);
+  }
+}
+
 class ScenarioBatchTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
@@ -193,22 +211,19 @@ class ScenarioBatchTest : public ::testing::TestWithParam<std::uint64_t> {
 
 /// The tentpole guarantee: every scenario's summaries and endpoint slacks
 /// are bit-identical to sequentially annotating the parent and running the
-/// sparse pass, under both dispatch strategies and B from 1 to 64.
+/// sparse pass, for B from 1 to 64: B = 1 runs the cells on the engine's
+/// level-parallel kernels, B = 7 and 64 one pool task per cell.
 TEST_P(ScenarioBatchTest, MatchesSequentialAcrossStrategiesAndBatchSizes) {
-  for (const ScenarioStrategy strat :
-       {ScenarioStrategy::kScenarioParallel, ScenarioStrategy::kLevelParallel}) {
-    core::Engine engine(*sta_, {});
-    engine.run_forward();
-    ScenarioBatchOptions opt;
-    opt.strategy = strat;
-    opt.collect_endpoints = true;
-    ScenarioBatch batch(engine, opt);
-    util::Rng rng(GetParam() * 19 + 11);
-    for (const std::size_t b : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-      const auto scen = make_scenarios(rng, b);
-      ASSERT_FALSE(scen.empty());
-      expect_scenarios_match(engine, batch, scen);
-    }
+  core::Engine engine(*sta_, {});
+  engine.run_forward();
+  ScenarioBatchOptions opt;
+  opt.collect_endpoints = true;
+  ScenarioBatch batch(engine, opt);
+  util::Rng rng(GetParam() * 19 + 11);
+  for (const std::size_t b : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    const auto scen = make_scenarios(rng, b);
+    ASSERT_FALSE(scen.empty());
+    expect_scenarios_match(engine, batch, scen);
   }
 }
 
@@ -583,11 +598,7 @@ TEST_P(ScenarioBatchTest, OptionsValidateGatesConstruction) {
   core::EngineOptions bad;
   bad.top_k = 0;
   bad.tau = -1.0f;
-  bad.wns_tau = 0.0f;
-  bad.parallel_threshold = -1;
-  bad.parallel_grain = 0;
-  bad.endpoint_grain = 0;
-  EXPECT_EQ(bad.validate().size(), 6u);
+  EXPECT_EQ(bad.validate().size(), 2u);
   EXPECT_THROW(core::Engine(*sta_, bad), util::CheckError);
 }
 
@@ -628,30 +639,27 @@ TEST(ScenarioBatchMulticlock, MatchesSequentialBitIdentical) {
     ref::GoldenSta sta(graph, gd.constraints, delays);
     sta.update_full();
 
-    for (const ScenarioStrategy strat : {ScenarioStrategy::kScenarioParallel,
-                                         ScenarioStrategy::kLevelParallel}) {
-      core::Engine engine(sta, {});
-      engine.run_forward();
-      ScenarioBatchOptions opt;
-      opt.strategy = strat;
-      opt.collect_endpoints = true;
-      ScenarioBatch batch(engine, opt);
+    core::Engine engine(sta, {});
+    engine.run_forward();
+    ScenarioBatchOptions opt;
+    opt.collect_endpoints = true;
+    ScenarioBatch batch(engine, opt);
 
-      util::Rng rng(seed * 13 + 7);
-      const auto changes = gen::random_changelist(*gd.design, graph, rng, 8);
-      std::vector<std::vector<ArcDelta>> scen;
-      for (const auto& ch : changes) {
-        scen.push_back(calc.estimate_eco(ch.cell, ch.new_libcell));
-      }
-      ASSERT_FALSE(scen.empty());
-      expect_scenarios_match(engine, batch, scen);
+    util::Rng rng(seed * 13 + 7);
+    const auto changes = gen::random_changelist(*gd.design, graph, rng, 8);
+    std::vector<std::vector<ArcDelta>> scen;
+    for (const auto& ch : changes) {
+      scen.push_back(calc.estimate_eco(ch.cell, ch.new_libcell));
     }
+    ASSERT_FALSE(scen.empty());
+    expect_scenarios_match_both_shapes(engine, batch, scen);
   }
 }
 
 /// Hold analysis: both the setup and hold summaries and both slack arrays
-/// ride the overlays. Thresholds forced to zero so the level-parallel
-/// strategy exercises the thread-pool kernels even on a tiny design.
+/// ride the overlays. The engine runs every loop on the pool, so the
+/// level-parallel shape exercises the thread-pool kernels even on a tiny
+/// design.
 TEST(ScenarioBatchHold, MatchesSequentialBitIdentical) {
   for (const std::uint64_t seed : {251u, 252u}) {
     gen::GeneratedDesign gd = gen::build_logic_block(gen::tiny_spec(seed));
@@ -667,27 +675,20 @@ TEST(ScenarioBatchHold, MatchesSequentialBitIdentical) {
 
     core::EngineOptions eopt;
     eopt.enable_hold = true;
-    eopt.parallel_threshold = 0;
-    eopt.parallel_grain = 1;
-    eopt.endpoint_grain = 1;
-    for (const ScenarioStrategy strat : {ScenarioStrategy::kScenarioParallel,
-                                         ScenarioStrategy::kLevelParallel}) {
-      core::Engine engine(sta, eopt);
-      engine.run_forward();
-      ScenarioBatchOptions opt;
-      opt.strategy = strat;
-      opt.collect_endpoints = true;
-      ScenarioBatch batch(engine, opt);
+    core::Engine engine = core::EngineTestPeer::pooled(sta, eopt);
+    engine.run_forward();
+    ScenarioBatchOptions opt;
+    opt.collect_endpoints = true;
+    ScenarioBatch batch(engine, opt);
 
-      util::Rng rng(seed * 17 + 9);
-      const auto changes = gen::random_changelist(*gd.design, graph, rng, 8);
-      std::vector<std::vector<ArcDelta>> scen;
-      for (const auto& ch : changes) {
-        scen.push_back(calc.estimate_eco(ch.cell, ch.new_libcell));
-      }
-      ASSERT_FALSE(scen.empty());
-      expect_scenarios_match(engine, batch, scen);
+    util::Rng rng(seed * 17 + 9);
+    const auto changes = gen::random_changelist(*gd.design, graph, rng, 8);
+    std::vector<std::vector<ArcDelta>> scen;
+    for (const auto& ch : changes) {
+      scen.push_back(calc.estimate_eco(ch.cell, ch.new_libcell));
     }
+    ASSERT_FALSE(scen.empty());
+    expect_scenarios_match_both_shapes(engine, batch, scen);
   }
 }
 

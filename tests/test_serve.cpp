@@ -115,19 +115,11 @@ TEST(ServeOptions, EngineValidateRejectsBadKnobs) {
   EXPECT_TRUE(eopt.validate().empty());
 
   eopt.top_k = 0;
-  eopt.tau = 0.0f;
-  eopt.wns_tau = std::numeric_limits<float>::infinity();
-  eopt.parallel_threshold = -1;
-  eopt.parallel_grain = 0;
-  eopt.endpoint_grain = 0;
+  eopt.tau = std::numeric_limits<float>::infinity();
   const std::vector<std::string> problems = eopt.validate();
   EXPECT_TRUE(has_problem(problems, "top_k"));
   EXPECT_TRUE(has_problem(problems, "tau"));
-  EXPECT_TRUE(has_problem(problems, "wns_tau"));
-  EXPECT_TRUE(has_problem(problems, "parallel_threshold"));
-  EXPECT_TRUE(has_problem(problems, "parallel_grain"));
-  EXPECT_TRUE(has_problem(problems, "endpoint_grain"));
-  EXPECT_EQ(problems.size(), 6u);
+  EXPECT_EQ(problems.size(), 2u);
 }
 
 // ---- protocol parsing ------------------------------------------------------
@@ -741,7 +733,8 @@ TEST_F(ServeTest, DispatcherHandlesCoreOpsAndErrors) {
 
 /// Protocol 3: the replication verbs (sync, delta_stream) and the extended
 /// stats identity block (protocol, generation, corners, read_only,
-/// whatif_cache) — and their protocol gate on downgraded connections.
+/// whatif_cache). A request's "protocol" member selects nothing: every
+/// connection keeps every verb.
 TEST_F(ServeTest, ReplicationProtocolSyncDeltaStreamAndStats) {
   auto engine = make_engine();
   TimingService service(*engine);
@@ -835,27 +828,30 @@ TEST_F(ServeTest, ReplicationProtocolSyncDeltaStreamAndStats) {
     EXPECT_TRUE(doc.find("result")->find("deltas")->array.empty());
   }
   {
-    // Downgraded connections (protocol < 3) cannot reach the replication
-    // verbs; the stats identity block still reports the negotiated version.
+    // A request naming an older protocol still reaches the replication
+    // verbs, and stats keeps reporting the one version the server speaks.
     const auto pin = parse(dispatcher.dispatch(
         R"({"id": 6, "op": "ping", "protocol": 2})"));
     EXPECT_TRUE(pin.find("ok")->boolean);
-    const auto sync = parse(dispatcher.dispatch(R"({"id": 7, "op": "sync"})"));
-    EXPECT_FALSE(sync.find("ok")->boolean);
-    EXPECT_EQ(sync.find("error")->find("code")->string, "bad-request");
+    const auto sync = parse(dispatcher.dispatch(
+        R"({"id": 7, "op": "sync", "protocol": 2})"));
+    ASSERT_TRUE(sync.find("ok")->boolean);
+    EXPECT_EQ(sync.find("result")->find("generation")->number,
+              static_cast<double>(cr.version));
     const auto ds = parse(dispatcher.dispatch(
         R"({"id": 8, "op": "delta_stream", "from": 0})"));
-    EXPECT_FALSE(ds.find("ok")->boolean);
+    EXPECT_TRUE(ds.find("ok")->boolean);
     const auto stats =
         parse(dispatcher.dispatch(R"({"id": 9, "op": "stats"})"));
-    EXPECT_EQ(stats.find("result")->find("protocol")->number, 2.0);
+    EXPECT_EQ(stats.find("result")->find("protocol")->number,
+              static_cast<double>(serve::kProtocolVersion));
   }
 }
 
 /// Protocol 2: the optional "corner" field selects one corner's view on
 /// summary/endpoints/whatif; absent means merged; unknown names/ids are
-/// "unknown-corner"; a {"protocol": 1} pin suppresses the feature for the
-/// rest of the connection.
+/// "unknown-corner". A request carrying {"protocol": 1} still gets corner
+/// selection and sync: no request member selects a protocol.
 TEST_F(ServeTest, CornerSelectionAndProtocolNegotiation) {
   core::EngineOptions eopt;
   eopt.enable_hold = true;
@@ -875,7 +871,7 @@ TEST_F(ServeTest, CornerSelectionAndProtocolNegotiation) {
   };
 
   {
-    // info advertises the negotiated protocol and the corner-name list.
+    // info advertises the protocol version and the corner-name list.
     const auto doc = parse(dispatcher.dispatch(R"({"id": 1, "op": "info"})"));
     ASSERT_TRUE(doc.find("ok")->boolean);
     EXPECT_EQ(doc.find("result")->find("protocol")->number,
@@ -973,24 +969,28 @@ TEST_F(ServeTest, CornerSelectionAndProtocolNegotiation) {
     EXPECT_EQ(doc2.find("error")->find("code")->string, "unknown-corner");
   }
   {
-    // Pinning protocol 1 suppresses corner selection for the connection.
+    // A request carrying "protocol": 1 pins nothing: it and the requests
+    // after it keep corner selection, the corner list, and sync.
     const auto doc = parse(dispatcher.dispatch(
-        R"({"id": 9, "op": "ping", "protocol": 1})"));
-    EXPECT_TRUE(doc.find("ok")->boolean);
-    const auto rejected = parse(dispatcher.dispatch(
-        R"({"id": 10, "op": "summary", "corner": "fast"})"));
-    EXPECT_FALSE(rejected.find("ok")->boolean);
-    EXPECT_EQ(rejected.find("error")->find("code")->string, "bad-request");
-    // A version-1 info reply omits the corner members entirely.
+        R"({"id": 9, "op": "summary", "corner": "fast", "protocol": 1})"));
+    ASSERT_TRUE(doc.find("ok")->boolean);
+    EXPECT_EQ(doc.find("result")->find("corner")->string, "fast");
+    EXPECT_EQ(doc.find("result")->find("setup")->find("tns")->number,
+              engine.summary(Mode::kSetup, 1).tns);
+    const auto after = parse(dispatcher.dispatch(
+        R"({"id": 10, "op": "summary", "corner": "slow"})"));
+    ASSERT_TRUE(after.find("ok")->boolean);
+    EXPECT_EQ(after.find("result")->find("corner")->string, "slow");
     const auto info = parse(dispatcher.dispatch(R"({"id": 11, "op": "info"})"));
     ASSERT_TRUE(info.find("ok")->boolean);
-    EXPECT_EQ(info.find("result")->find("corners"), nullptr);
-    EXPECT_EQ(info.find("result")->find("protocol")->number, 1.0);
-    // Renegotiating back up restores them.
-    const auto info2 = parse(dispatcher.dispatch(
-        R"({"id": 12, "op": "info", "protocol": 2})"));
-    ASSERT_TRUE(info2.find("ok")->boolean);
-    ASSERT_NE(info2.find("result")->find("corners"), nullptr);
+    ASSERT_NE(info.find("result")->find("corners"), nullptr);
+    EXPECT_EQ(info.find("result")->find("corners")->array.size(), 3u);
+    EXPECT_EQ(info.find("result")->find("protocol")->number,
+              static_cast<double>(serve::kProtocolVersion));
+    const auto sync = parse(dispatcher.dispatch(
+        R"({"id": 12, "op": "sync", "protocol": 1})"));
+    ASSERT_TRUE(sync.find("ok")->boolean);
+    EXPECT_NE(sync.find("result")->find("snapshot"), nullptr);
   }
 }
 
