@@ -29,7 +29,7 @@ void audit_topk_entries(std::span<const core::Engine::TopKEntry> entries,
 /// workers idle more than half the time. Emits "telemetry-anomaly"
 /// diagnostics at Severity::kInfo — these flag performance or
 /// configuration oddities, not correctness violations, and must not trip
-/// strict lint gates. No-op on an empty snapshot (telemetry compiled out).
+/// strict lint gates. No-op on an empty snapshot (nothing recorded yet).
 [[nodiscard]] LintReport audit_metrics(
     const telemetry::MetricsSnapshot& snapshot);
 

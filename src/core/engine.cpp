@@ -36,8 +36,7 @@ constexpr std::size_t kPlaneFillGrain = std::size_t{1} << 14;
 /// that the sizers and the placer set.
 constexpr float kWnsTau = 10.0f;
 
-/// Registered-once handles for the engine's hot-path counters. With
-/// telemetry compiled out every handle is an empty no-op stub.
+/// Registered-once handles for the engine's hot-path counters.
 struct EngineMetrics {
   telemetry::Counter forward_passes;
   telemetry::Counter incremental_passes;

@@ -19,7 +19,7 @@ using util::check;
 
 namespace {
 
-/// Registered-once scenario counters (no-op stubs when telemetry is off).
+/// Registered-once scenario counters.
 struct ScenarioMetrics {
   telemetry::Counter batches;
   telemetry::Counter scenarios;

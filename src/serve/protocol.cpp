@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <numeric>
@@ -22,12 +21,11 @@ using timing::ArcDelta;
 
 namespace {
 
-/// Steady-clock nanoseconds for the server_us reply breakdown (raw chrono:
-/// the breakdown is protocol behavior and must survive telemetry-off).
-std::int64_t proto_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// Whole microseconds since `t0_ns`, a Tracer::now_ns() reading: the
+/// server_us breakdown shares the trace and flight-recorder clock.
+std::int64_t us_since(std::uint64_t t0_ns) {
+  return static_cast<std::int64_t>(
+      (telemetry::Tracer::now_ns() - t0_ns) / 1000);
 }
 
 /// Small numeric op tag for the flight recorder's kAdmit detail word.
@@ -357,7 +355,7 @@ bool Dispatcher::resolve_session(const Request& req, SessionId& out,
 }
 
 std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
-  const std::int64_t t0 = proto_now_ns();
+  const std::uint64_t t0 = telemetry::Tracer::now_ns();
   Request req;
   LintReport report;
   const bool parsed = parse_request(line, req, report);
@@ -377,7 +375,7 @@ std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
 
   // Inject the server_us breakdown as a top-level reply member (every
   // reply builder ends its object with '}').
-  const std::int64_t total_us = (proto_now_ns() - t0) / 1000;
+  const std::int64_t total_us = us_since(t0);
   std::string breakdown =
       "\"queue\": " + std::to_string(timing.queue_us) +
       ", \"batch\": " + std::to_string(timing.batch_us) +
@@ -569,7 +567,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     if (!err.ok()) {
       return error_reply(req.id, err.code, err.message, &err.diagnostics);
     }
-    const std::int64_t ser0 = proto_now_ns();
+    const std::uint64_t ser0 = telemetry::Tracer::now_ns();
     std::string body = "{\"version\": " + std::to_string(reply.version);
     if (ci >= 0) {
       body += ", \"corner\": \"" +
@@ -616,7 +614,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     }
     body += "]}";
     std::string out = ok_reply(req.id, body);
-    timing.serialize_us = (proto_now_ns() - ser0) / 1000;
+    timing.serialize_us = us_since(ser0);
     return out;
   }
 
@@ -660,7 +658,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
   if (op == "stats") {
     // stats_body plus the live fields a polling dashboard (insta_cli top)
     // needs: instantaneous queue depth / session count and the what-if
-    // latency distribution (zeros in telemetry-off builds).
+    // latency distribution.
     std::string body = stats_body(service_->stats());
     body.pop_back();
     body += ", \"queue_depth\": " + std::to_string(service_->queue_depth()) +
@@ -713,19 +711,19 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
   if (op == "sync") {
     // Full-state bootstrap: the complete timing state at one committed
     // generation, as one base64-wrapped binary frame.
-    const std::int64_t ser0 = proto_now_ns();
+    const std::uint64_t ser0 = telemetry::Tracer::now_ns();
     const core::EngineState st = service_->export_state();
     const std::string frame = replica::encode_snapshot(st);
     std::string body = "{\"generation\": " + std::to_string(st.generation) +
                        ", \"snapshot\": \"" + replica::base64_encode(frame) +
                        "\"}";
     std::string out = ok_reply(req.id, body);
-    timing.serialize_us = (proto_now_ns() - ser0) / 1000;
+    timing.serialize_us = us_since(ser0);
     return out;
   }
 
   if (op == "delta_stream") {
-    const std::int64_t ser0 = proto_now_ns();
+    const std::uint64_t ser0 = telemetry::Tracer::now_ns();
     std::vector<replica::CommitRecord> recs;
     const bool in_window = service_->delta_log().since(req.from, recs);
     std::string body =
@@ -740,7 +738,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     }
     body += "]}";
     std::string out = ok_reply(req.id, body);
-    timing.serialize_us = (proto_now_ns() - ser0) / 1000;
+    timing.serialize_us = us_since(ser0);
     return out;
   }
 

@@ -17,56 +17,6 @@ using telemetry::FlightEventType;
 using timing::ArcDelta;
 using util::check;
 
-namespace {
-
-/// Steady-clock nanoseconds for the WhatifTiming breakdown. Raw chrono, not
-/// Tracer::now_ns(): the breakdown is wire-protocol behavior and must work
-/// in telemetry-off builds.
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Registered-once service counters (no-op stubs when telemetry is off).
-struct ServeMetrics {
-  telemetry::Counter requests;
-  telemetry::Counter scenarios;
-  telemetry::Counter batches;
-  telemetry::Counter shed;
-  telemetry::Counter commits;
-  telemetry::Counter rollbacks;
-  telemetry::Counter snapshots;
-  telemetry::Histogram batch_occupancy;
-  telemetry::Histogram eval_us;
-  telemetry::Histogram whatif_latency_us;
-  telemetry::Gauge queue_depth;
-  telemetry::Gauge sessions;
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m = [] {
-    auto& r = telemetry::MetricsRegistry::global();
-    ServeMetrics sm;
-    sm.requests = r.counter("serve.whatif_requests");
-    sm.scenarios = r.counter("serve.whatif_scenarios");
-    sm.batches = r.counter("serve.batches");
-    sm.shed = r.counter("serve.shed");
-    sm.commits = r.counter("serve.commits");
-    sm.rollbacks = r.counter("serve.rollbacks");
-    sm.snapshots = r.counter("serve.snapshots_published");
-    sm.batch_occupancy = r.histogram("serve.batch_occupancy");
-    sm.eval_us = r.histogram("serve.eval_us");
-    sm.whatif_latency_us = r.histogram("serve.whatif_latency_us");
-    sm.queue_depth = r.gauge("serve.queue_depth");
-    sm.sessions = r.gauge("serve.open_sessions");
-    return sm;
-  }();
-  return m;
-}
-
-}  // namespace
-
 std::uint64_t next_request_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -206,7 +156,6 @@ void TimingService::publish_snapshot() {
     const util::LockGuard sl(snap_mu_);
     snap_ = std::move(snap);
   }
-  serve_metrics().snapshots.inc();
   const util::LockGuard sl(state_mu_);
   ++stats_.snapshots_published;
 }
@@ -217,7 +166,6 @@ Error TimingService::open_session(SessionId& out) {
   const util::LockGuard sl(state_mu_);
   if (static_cast<int>(sessions_.size()) >= options_.max_sessions) {
     ++stats_.shed;
-    serve_metrics().shed.inc();
     return Error::make(ErrorCode::kOverloaded,
                        "session limit reached (" +
                            std::to_string(options_.max_sessions) + ")");
@@ -225,7 +173,6 @@ Error TimingService::open_session(SessionId& out) {
   out = next_session_++;
   sessions_.emplace(out, Session{});
   ++stats_.sessions_opened;
-  serve_metrics().sessions.set(static_cast<double>(sessions_.size()));
   return Error::success();
 }
 
@@ -244,10 +191,8 @@ Error TimingService::close_session(SessionId session) {
   if (it->second.editing) {
     editor_ = -1;
     ++stats_.rollbacks;
-    serve_metrics().rollbacks.inc();
   }
   sessions_.erase(it);
-  serve_metrics().sessions.set(static_cast<double>(sessions_.size()));
   return Error::success();
 }
 
@@ -273,7 +218,6 @@ Error TimingService::validate_scenarios(
 Error TimingService::whatif(
     SessionId session, const std::vector<std::vector<ArcDelta>>& scenarios,
     WhatifReply& out, std::uint64_t request_id, core::CornerId corner) {
-  ServeMetrics& sm = serve_metrics();
   auto& fr = telemetry::FlightRecorder::global();
   if (request_id == 0) request_id = next_request_id();
   out.request_id = request_id;
@@ -282,10 +226,14 @@ Error TimingService::whatif(
                     static_cast<std::int64_t>(scenarios.size()));
   // Every exit path — shed, rejected, failed, served — observes the latency
   // histogram: a dashboard reading p99 must see the requests the server
-  // turned away, not just the ones it liked.
+  // turned away, not just the ones it liked. It is the serve layer's one
+  // registry metric (the stats verb reads it); every other request fact
+  // lives in ServiceStats.
+  static telemetry::Histogram latency_us =
+      telemetry::MetricsRegistry::global().histogram("serve.whatif_latency_us");
   util::Stopwatch sw;
-  const auto observe_latency = [&sm, &sw] {
-    sm.whatif_latency_us.observe(sw.elapsed_sec() * 1e6);
+  const auto observe_latency = [&sw] {
+    latency_us.observe(sw.elapsed_sec() * 1e6);
   };
   if (scenarios.empty()) {
     observe_latency();
@@ -301,7 +249,6 @@ Error TimingService::whatif(
     }
     if (it->second.inflight >= options_.max_inflight_per_session) {
       ++stats_.shed;
-      sm.shed.inc();
       fr.record(FlightEventType::kShed, request_id, 0, detail);
       observe_latency();
       return Error::make(
@@ -351,7 +298,6 @@ Error TimingService::whatif(
         const util::LockGuard sl(state_mu_);
         ++stats_.whatif_requests;
       }
-      sm.requests.inc();
       fr.record(FlightEventType::kReply, request_id, out.version, 0);
       observe_latency();
       release();
@@ -373,7 +319,6 @@ Error TimingService::whatif(
       observe_latency();
       const util::LockGuard sl(state_mu_);
       ++stats_.shed;
-      sm.shed.inc();
       return Error::make(ErrorCode::kOverloaded,
                          "what-if queue full (" +
                              std::to_string(options_.max_queue) +
@@ -382,12 +327,11 @@ Error TimingService::whatif(
     // Recorded before the queue push so the leader's kBatch event for this
     // request can never precede its kEnqueue in ticket order; the 's' flow
     // point parent-links the batch spans back to this request thread.
-    req.enqueue_ns = steady_now_ns();
+    req.enqueue_ns = telemetry::Tracer::now_ns();
     fr.record(FlightEventType::kEnqueue, request_id, 0, detail);
     telemetry::Tracer::global().flow(request_id, 's');
     queue_.push_back(&req);
     queued_scenarios_ += scenarios.size();
-    sm.queue_depth.set(static_cast<double>(queued_scenarios_));
     if (!collecting_) {
       collecting_ = true;
       req.leader = true;
@@ -400,16 +344,15 @@ Error TimingService::whatif(
     const util::LockGuard sl(state_mu_);
     ++stats_.whatif_requests;
   }
-  sm.requests.inc();
 
   if (req.leader) {
-    run_batch_leader(req);
+    run_batch_leader();
   } else {
     util::UniqueLock ql(queue_mu_);
     done_cv_.wait(ql, [&req] { return req.done; });
   }
-  const auto us = [](std::int64_t a, std::int64_t b) {
-    return std::max<std::int64_t>(0, (b - a) / 1000);
+  const auto us = [](std::uint64_t a, std::uint64_t b) {
+    return b > a ? static_cast<std::int64_t>((b - a) / 1000) : 0;
   };
   out.timing.queue_us = us(req.enqueue_ns, req.drained_ns);
   out.timing.batch_us = us(req.drained_ns, req.eval_begin_ns);
@@ -431,7 +374,7 @@ Error TimingService::whatif(
   return req.error;
 }
 
-void TimingService::run_batch_leader(PendingWhatif& self) {
+void TimingService::run_batch_leader() {
   std::vector<PendingWhatif*> reqs;
   {
     util::UniqueLock ql(queue_mu_);
@@ -450,7 +393,6 @@ void TimingService::run_batch_leader(PendingWhatif& self) {
     }
     reqs.swap(queue_);
     queued_scenarios_ = 0;
-    serve_metrics().queue_depth.set(0.0);
     // Collection of the next batch may begin while this one evaluates.
     collecting_ = false;
   }
@@ -459,7 +401,7 @@ void TimingService::run_batch_leader(PendingWhatif& self) {
   // links every co-travelling request into it, which is what makes the
   // coalescing visible in the Chrome trace (N arrows into one slice).
   INSTA_TRACE_SCOPE("serve.batch", static_cast<std::int64_t>(reqs.size()));
-  const std::int64_t drained = steady_now_ns();
+  const std::uint64_t drained = telemetry::Tracer::now_ns();
   auto& tracer = telemetry::Tracer::global();
   auto& fr = telemetry::FlightRecorder::global();
   const auto occupancy = static_cast<std::uint32_t>(reqs.size());
@@ -476,11 +418,9 @@ void TimingService::run_batch_leader(PendingWhatif& self) {
     for (PendingWhatif* r : reqs) r->done = true;
   }
   done_cv_.notify_all();
-  (void)self;  // self is one of reqs; kept for signature clarity
 }
 
 void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
-  ServeMetrics& sm = serve_metrics();
   // Flatten the drained requests into (request, scenario) order, then
   // evaluate in max_batch-sized chunks under one shared engine lock so the
   // whole drain sees a single baseline version.
@@ -500,9 +440,8 @@ void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
   const util::LockGuard evl(eval_mu_);
   const util::SharedLock el(engine_mu_);
   const std::uint64_t version = engine_->generation();
-  const std::int64_t eval_begin = steady_now_ns();
+  const std::uint64_t eval_begin = telemetry::Tracer::now_ns();
   for (PendingWhatif* r : reqs) r->eval_begin_ns = eval_begin;
-  util::Stopwatch sw;
   const auto chunk_cap = static_cast<std::size_t>(options_.max_batch);
   std::uint64_t num_batches = 0;
   std::uint64_t max_occupancy = 0;
@@ -536,9 +475,8 @@ void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
     ++num_batches;
     max_occupancy =
         std::max(max_occupancy, static_cast<std::uint64_t>(hi - lo));
-    sm.batch_occupancy.observe(static_cast<double>(hi - lo));
   }
-  const std::int64_t eval_end = steady_now_ns();
+  const std::uint64_t eval_end = telemetry::Tracer::now_ns();
   auto& fr = telemetry::FlightRecorder::global();
   for (PendingWhatif* r : reqs) {
     r->eval_end_ns = eval_end;
@@ -546,9 +484,6 @@ void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
     fr.record(FlightEventType::kEval, r->request_id, version,
               static_cast<std::uint32_t>(r->scenarios->size()));
   }
-  sm.eval_us.observe(sw.elapsed_sec() * 1e6);
-  sm.batches.add(num_batches);
-  sm.scenarios.add(items.size());
 
   const util::LockGuard sl(state_mu_);
   stats_.batches += num_batches;
@@ -679,7 +614,6 @@ Error TimingService::commit(SessionId session, CommitReply& out) {
       out.hold = engine_->merged_summary(core::Mode::kHold);
     }
   }
-  serve_metrics().commits.inc();
   const util::LockGuard sl(state_mu_);
   ++stats_.commits;
   return Error::success();
@@ -701,7 +635,6 @@ Error TimingService::rollback(SessionId session) {
   it->second.editing = false;
   editor_ = -1;
   ++stats_.rollbacks;
-  serve_metrics().rollbacks.inc();
   return Error::success();
 }
 
@@ -766,7 +699,6 @@ Error TimingService::apply_commit(const replica::CommitRecord& rec) {
     delta_log_.append(rec);  // chain continues: replicas can fan out
     publish_snapshot();
   }
-  serve_metrics().commits.inc();
   const util::LockGuard sl(state_mu_);
   ++stats_.commits;
   return Error::success();

@@ -327,15 +327,15 @@ class TimingService {
     WhatifReply* reply = nullptr;
     Error error;
     /// Trace/flight-recorder identity of this request (always nonzero once
-    /// queued) and its lifecycle timestamps on the steady clock. The
+    /// queued) and its lifecycle timestamps on Tracer::now_ns(). The
     /// *_ns fields after enqueue_ns are written by the leader before it
     /// marks the request done under queue_mu_, so the owning waiter reads
     /// them ordered by the same release/acquire as `done`.
     std::uint64_t request_id = 0;
-    std::int64_t enqueue_ns = 0;
-    std::int64_t drained_ns = 0;
-    std::int64_t eval_begin_ns = 0;
-    std::int64_t eval_end_ns = 0;
+    std::uint64_t enqueue_ns = 0;
+    std::uint64_t drained_ns = 0;
+    std::uint64_t eval_begin_ns = 0;
+    std::uint64_t eval_end_ns = 0;
     /// Guarded by the service's queue_mu_ (a nested struct cannot name the
     /// outer class's member in an annotation): written by the leader under
     /// queue_mu_, read by the waiter's done_cv_ predicate under queue_mu_.
@@ -353,7 +353,7 @@ class TimingService {
   /// current state. Caller holds exclusive engine access.
   void publish_snapshot() INSTA_REQUIRES(engine_mu_);
   /// Leader path: collect co-travellers, drain, evaluate, distribute.
-  void run_batch_leader(PendingWhatif& self);
+  void run_batch_leader();
   /// Evaluates one drained request list (chunked to max_batch) and fills
   /// every request's reply. Serialized by eval_mu_.
   void evaluate_requests(std::vector<PendingWhatif*>& reqs);

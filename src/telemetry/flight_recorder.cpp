@@ -1,5 +1,16 @@
 #include "telemetry/flight_recorder.hpp"
 
+#include <csignal>
+#include <cstdio>
+#include <unistd.h>
+
+#include <algorithm>
+#include <thread>
+
+#include "analysis/lock_hierarchy.hpp"
+#include "telemetry/json.hpp"
+#include "telemetry/trace.hpp"
+
 namespace insta::telemetry {
 
 const char* flight_event_name(FlightEventType type) {
@@ -13,23 +24,6 @@ const char* flight_event_name(FlightEventType type) {
   }
   return "unknown";
 }
-
-}  // namespace insta::telemetry
-
-#if INSTA_TELEMETRY_ENABLED
-
-#include <csignal>
-#include <cstdio>
-#include <unistd.h>
-
-#include <algorithm>
-#include <thread>
-
-#include "analysis/lock_hierarchy.hpp"
-#include "telemetry/json.hpp"
-#include "telemetry/trace.hpp"
-
-namespace insta::telemetry {
 
 namespace {
 
@@ -203,5 +197,3 @@ void FlightRecorder::install_signal_dump() {
 }
 
 }  // namespace insta::telemetry
-
-#endif  // INSTA_TELEMETRY_ENABLED

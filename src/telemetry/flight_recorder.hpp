@@ -17,21 +17,13 @@
 // slot's sequence number after copying, discarding slots overwritten
 // mid-read; dump() additionally avoids the heap so it can run from the
 // lock_hierarchy abort handler and fatal-signal handlers.
-//
-// With INSTA_TELEMETRY_ENABLED == 0 every member is a no-op stub and
-// to_json() returns a valid empty document.
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "telemetry/config.hpp"
-
-#if INSTA_TELEMETRY_ENABLED
-#include <array>
-#include <atomic>
-#endif
 
 namespace insta::telemetry {
 
@@ -58,8 +50,6 @@ struct FlightEvent {
   std::uint32_t detail = 0;
   FlightEventType type = FlightEventType::kAdmit;
 };
-
-#if INSTA_TELEMETRY_ENABLED
 
 class FlightRecorder {
  public:
@@ -124,31 +114,5 @@ class FlightRecorder {
   std::atomic<std::uint64_t> next_{0};
   std::array<Slot, kCapacity> slots_{};
 };
-
-#else  // !INSTA_TELEMETRY_ENABLED
-
-class FlightRecorder {
- public:
-  static constexpr std::size_t kCapacity = std::size_t{1} << 12U;
-  static FlightRecorder& global() {
-    static FlightRecorder fr;
-    return fr;
-  }
-  void record(FlightEventType, std::uint64_t, std::uint64_t = 0,
-              std::uint32_t = 0) {}
-  [[nodiscard]] std::uint64_t total() const { return 0; }
-  [[nodiscard]] std::vector<FlightEvent> recent(
-      std::size_t = kCapacity) const {
-    return {};
-  }
-  [[nodiscard]] std::string to_json(std::size_t = kCapacity) const {
-    return "{\"total\": 0, \"events\": []}\n";
-  }
-  void dump(int, std::size_t = 64) const {}
-  void clear() {}
-  static void install_signal_dump() {}
-};
-
-#endif  // INSTA_TELEMETRY_ENABLED
 
 }  // namespace insta::telemetry

@@ -2,8 +2,7 @@
 
 // Minimal JSON support for the telemetry subsystem: string/number emission
 // helpers for the writers, and a small recursive-descent DOM parser used by
-// the validators and tests. No external dependencies; always compiled
-// regardless of INSTA_TELEMETRY_ENABLED.
+// the validators and tests. No external dependencies.
 
 #include <cstdint>
 #include <string>

@@ -88,8 +88,6 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-#if INSTA_TELEMETRY_ENABLED
-
 namespace {
 
 std::atomic<std::uint64_t> g_registry_uid{1};
@@ -249,7 +247,5 @@ void MetricsRegistry::reset() {
     g->store(std::bit_cast<std::uint64_t>(0.0), std::memory_order_relaxed);
   }
 }
-
-#endif  // INSTA_TELEMETRY_ENABLED
 
 }  // namespace insta::telemetry

@@ -11,31 +11,23 @@
 // under the registry mutex and can run concurrently with writers (writers
 // never block; the snapshot is a relaxed but internally consistent view:
 // histogram counts are derived from bucket sums, never stored separately).
-//
-// With INSTA_TELEMETRY_ENABLED == 0 every class below is an empty stub and
-// snapshot() returns an empty MetricsSnapshot.
 
-#include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "telemetry/config.hpp"
-
-#if INSTA_TELEMETRY_ENABLED
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-#endif
 
 namespace insta::telemetry {
 
@@ -84,8 +76,6 @@ struct MetricsSnapshot {
   /// sum, min, max, p50, p95, p99, bounds, buckets}}}.
   [[nodiscard]] std::string to_json() const;
 };
-
-#if INSTA_TELEMETRY_ENABLED
 
 class MetricsRegistry;
 
@@ -286,48 +276,5 @@ inline void Histogram::observe(double v) {
   }
   reg_->hist_observe(id_, b, v);
 }
-
-#else  // !INSTA_TELEMETRY_ENABLED
-
-class Counter {
- public:
-  void add(std::uint64_t) {}
-  void inc() {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  void set_max(double) {}
-};
-
-class Histogram {
- public:
-  void observe(double) {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() = default;
-};
-
-class MetricsRegistry {
- public:
-  static constexpr std::int32_t kNumBuckets = 28;
-  static MetricsRegistry& global() {
-    static MetricsRegistry r;
-    return r;
-  }
-  Counter counter(std::string_view) { return {}; }
-  Gauge gauge(std::string_view) { return {}; }
-  Histogram histogram(std::string_view, HistogramSpec = {}) { return {}; }
-  [[nodiscard]] MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-#endif  // INSTA_TELEMETRY_ENABLED
 
 }  // namespace insta::telemetry

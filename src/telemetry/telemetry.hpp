@@ -9,9 +9,6 @@
 //        static telemetry::Counter c =
 //            telemetry::MetricsRegistry::global().counter("engine.pins");
 //   2. Bump it: c.add(n);
-//   3. Wrap anything that is not trivially free when telemetry is compiled
-//      out in INSTA_TM(...) so the OFF build drops it entirely.
 
-#include "telemetry/config.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"

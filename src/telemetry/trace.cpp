@@ -1,17 +1,12 @@
 #include "telemetry/trace.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 
 #include "telemetry/json.hpp"
 
-#if INSTA_TELEMETRY_ENABLED
-#include <algorithm>
-#include <chrono>
-#endif
-
 namespace insta::telemetry {
-
-#if INSTA_TELEMETRY_ENABLED
 
 namespace {
 
@@ -267,16 +262,5 @@ TraceSpan::~TraceSpan() {
   rec.depth = depth_;
   Tracer::global().record(rec);
 }
-
-#else  // !INSTA_TELEMETRY_ENABLED
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << chrome_trace_json();
-  return static_cast<bool>(f);
-}
-
-#endif  // INSTA_TELEMETRY_ENABLED
 
 }  // namespace insta::telemetry

@@ -19,31 +19,23 @@
 // spans that served it on other threads.
 //
 // Tracing is off until set_enabled(true); a disabled TraceSpan costs one
-// relaxed atomic load. With INSTA_TELEMETRY_ENABLED == 0 everything here is
-// an empty stub (chrome_trace_json() still returns a valid empty trace).
+// relaxed atomic load.
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <string>
-
-#include "telemetry/config.hpp"
-
-#if INSTA_TELEMETRY_ENABLED
-#include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-#endif
 
 namespace insta::telemetry {
 
 /// Sentinel for "span has no numeric argument".
 inline constexpr std::int64_t kNoTraceArg =
     std::numeric_limits<std::int64_t>::min();
-
-#if INSTA_TELEMETRY_ENABLED
 
 class TraceSpan;
 
@@ -143,39 +135,10 @@ class TraceSpan {
   bool active_ = false;
 };
 
-#else  // !INSTA_TELEMETRY_ENABLED
-
-class Tracer {
- public:
-  static Tracer& global() {
-    static Tracer t;
-    return t;
-  }
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void clear() {}
-  [[nodiscard]] std::uint64_t dropped() const { return 0; }
-  void flow(std::uint64_t, char) {}
-  [[nodiscard]] std::string chrome_trace_json() const {
-    return "{\"traceEvents\": []}\n";
-  }
-  [[nodiscard]] std::string spans_json(std::size_t) const {
-    return "{\"dropped\": 0, \"spans\": []}\n";
-  }
-  bool write_chrome_trace(const std::string& path) const;
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*, std::int64_t = kNoTraceArg) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  ~TraceSpan() = default;
-};
-
-#endif  // INSTA_TELEMETRY_ENABLED
-
 }  // namespace insta::telemetry
+
+#define INSTA_TELEMETRY_CONCAT_INNER(a, b) a##b
+#define INSTA_TELEMETRY_CONCAT(a, b) INSTA_TELEMETRY_CONCAT_INNER(a, b)
 
 /// Declares an RAII trace span covering the rest of the enclosing scope.
 /// Usage: INSTA_TRACE_SCOPE("engine.forward");

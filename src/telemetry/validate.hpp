@@ -3,7 +3,7 @@
 // Structural validators for the two JSON artifacts the telemetry subsystem
 // emits: Chrome trace_event documents (--trace) and metrics snapshots
 // (--metrics-json). Used by the telemetry_check CLI tool in CI and by the
-// unit tests. Always compiled regardless of INSTA_TELEMETRY_ENABLED.
+// unit tests.
 
 #include <cstdint>
 #include <string>

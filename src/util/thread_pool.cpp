@@ -9,14 +9,12 @@ namespace insta::util {
 
 namespace {
 
-#if INSTA_TELEMETRY_ENABLED
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - since)
           .count());
 }
-#endif
 
 /// Busy-wait hint: keeps the spinning hardware thread polite without a
 /// scheduler round-trip.
@@ -63,12 +61,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_one_chunk(std::size_t lo, std::size_t hi,
                                WorkerCounters& wc) {
-  (void)wc;
   try {
     INSTA_TRACE_SCOPE("pool.chunk", static_cast<std::int64_t>(hi - lo));
-    INSTA_TM(const auto chunk_start = std::chrono::steady_clock::now();)
+    const auto chunk_start = std::chrono::steady_clock::now();
     fn_(ctx_, lo, hi);
-#if INSTA_TELEMETRY_ENABLED
     const std::uint64_t ns = elapsed_ns(chunk_start);
     wc.busy_ns.fetch_add(ns, std::memory_order_relaxed);
     wc.tasks.fetch_add(1, std::memory_order_relaxed);
@@ -85,7 +81,6 @@ void ThreadPool::run_one_chunk(std::size_t lo, std::size_t hi,
     while (ns > cur && !launch_max_ns_.compare_exchange_weak(
                            cur, ns, std::memory_order_relaxed)) {
     }
-#endif
   } catch (...) {
     const LockGuard lock(error_mutex_);
     if (!first_error_) {
@@ -124,7 +119,7 @@ void ThreadPool::worker_loop(std::size_t widx) {
         continue;
       }
       spins = 0;
-      INSTA_TM(const auto wait_start = std::chrono::steady_clock::now();)
+      const auto wait_start = std::chrono::steady_clock::now();
       {
         UniqueLock lock(sleep_mutex_);
         sleepers_.fetch_add(1, std::memory_order_seq_cst);
@@ -141,8 +136,7 @@ void ThreadPool::worker_loop(std::size_t widx) {
         });
         sleepers_.fetch_sub(1, std::memory_order_seq_cst);
       }
-      INSTA_TM(wc.idle_ns.fetch_add(elapsed_ns(wait_start),
-                                    std::memory_order_relaxed);)
+      wc.idle_ns.fetch_add(elapsed_ns(wait_start), std::memory_order_relaxed);
       continue;
     }
     // Join epoch `ep`: bump the joiner count iff the word is unchanged. A
@@ -187,7 +181,6 @@ void ThreadPool::run_chunked(std::size_t begin, std::size_t end, ChunkFn fn,
     return;
   }
 
-#if INSTA_TELEMETRY_ENABLED
   static telemetry::Counter pf_calls =
       telemetry::MetricsRegistry::global().counter("pool.parallel_for_calls");
   static telemetry::Counter pf_chunks =
@@ -200,7 +193,6 @@ void ThreadPool::run_chunked(std::size_t begin, std::size_t end, ChunkFn fn,
   pf_calls.inc();
   pf_chunks.add(num_chunks);
   tasks_queued_.fetch_add(num_chunks, std::memory_order_relaxed);
-#endif
 
   // Writer phase: flip the epoch to odd once every straggler joiner of the
   // previous launch has checked out, fill the slot, publish an even epoch.
@@ -225,8 +217,8 @@ void ThreadPool::run_chunked(std::size_t begin, std::size_t end, ChunkFn fn,
   num_chunks_ = num_chunks;
   next_ticket_.store(0, std::memory_order_relaxed);
   remaining_.store(num_chunks, std::memory_order_relaxed);
-  INSTA_TM(launch_min_ns_.store(~std::uint64_t{0}, std::memory_order_relaxed);)
-  INSTA_TM(launch_max_ns_.store(0, std::memory_order_relaxed);)
+  launch_min_ns_.store(~std::uint64_t{0}, std::memory_order_relaxed);
+  launch_max_ns_.store(0, std::memory_order_relaxed);
   sync_.store((ep + 2) << kEpochShift, std::memory_order_seq_cst);
 
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
@@ -248,14 +240,12 @@ void ThreadPool::run_chunked(std::size_t begin, std::size_t end, ChunkFn fn,
     }
   }
 
-#if INSTA_TELEMETRY_ENABLED
   const std::uint64_t mn = launch_min_ns_.load(std::memory_order_relaxed);
   const std::uint64_t mx = launch_max_ns_.load(std::memory_order_relaxed);
   if (mx > 0 && mn != ~std::uint64_t{0}) {
     imbalance.observe(100.0 * static_cast<double>(mx - mn) /
                       static_cast<double>(mx));
   }
-#endif
 
   // All chunk completions happen-before the remaining_ == 0 read, so the
   // error slot is stable; take it (under its lock, on the cold path only)
@@ -274,7 +264,6 @@ void ThreadPool::run_chunked(std::size_t begin, std::size_t end, ChunkFn fn,
 ThreadPool::PoolStats ThreadPool::stats() const {
   PoolStats s;
   s.workers = workers_.size();
-#if INSTA_TELEMETRY_ENABLED
   s.tasks_queued = tasks_queued_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i <= workers_.size(); ++i) {
     const WorkerCounters& wc = counters_[i];
@@ -289,12 +278,10 @@ ThreadPool::PoolStats ThreadPool::stats() const {
       s.max_worker_idle_pct = std::max(s.max_worker_idle_pct, idle_pct);
     }
   }
-#endif
   return s;
 }
 
 void ThreadPool::publish_metrics() const {
-#if INSTA_TELEMETRY_ENABLED
   const PoolStats s = stats();
   auto& reg = telemetry::MetricsRegistry::global();
   reg.gauge("pool.workers").set(static_cast<double>(s.workers));
@@ -306,7 +293,6 @@ void ThreadPool::publish_metrics() const {
   const double total = s.busy_sec + s.idle_sec;
   reg.gauge("pool.utilization_pct")
       .set(total > 0.0 ? 100.0 * s.busy_sec / total : 0.0);
-#endif
 }
 
 ThreadPool& ThreadPool::global() {

@@ -33,7 +33,6 @@ namespace insta::util {
 class ThreadPool {
  public:
   /// Point-in-time utilization numbers, cumulative since construction.
-  /// All zero when telemetry is compiled out.
   struct PoolStats {
     std::size_t workers = 0;
     std::uint64_t tasks_queued = 0;

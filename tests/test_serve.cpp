@@ -1288,14 +1288,12 @@ TEST_F(ServeTest, TraceAndFlightrecOpsReturnValidDocuments) {
     ASSERT_NE(result->find("total"), nullptr);
     ASSERT_NE(result->find("events"), nullptr);
     EXPECT_TRUE(result->find("events")->is_array());
-#if INSTA_TELEMETRY_ENABLED
     EXPECT_GE(result->find("total")->number, 1.0);
     ASSERT_FALSE(result->find("events")->array.empty());
     const telemetry::JsonValue& ev = result->find("events")->array.back();
     EXPECT_NE(ev.find("ts_us"), nullptr);
     EXPECT_NE(ev.find("type"), nullptr);
     EXPECT_NE(ev.find("id"), nullptr);
-#endif
   }
   // max caps the number of events returned.
   {
@@ -1354,8 +1352,6 @@ TEST_F(ServeTest, SlowRequestLogFiresAtThresholdZero) {
   }
   EXPECT_TRUE(found);
 }
-
-#if INSTA_TELEMETRY_ENABLED
 
 /// The acceptance criterion of the tracing tentpole: a concurrent run's
 /// Chrome trace contains a batch-leader span whose flow steps parent-link
@@ -1480,8 +1476,6 @@ TEST_F(ServeTest, ShedRepliesAreObservedInLatencyHistogramAndRecorder) {
   }
   EXPECT_TRUE(shed_777);
 }
-
-#endif  // INSTA_TELEMETRY_ENABLED
 
 TEST_F(ServeTest, EngineGenerationCountsForwardPasses) {
   auto engine = make_engine();

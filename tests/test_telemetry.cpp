@@ -23,8 +23,6 @@
 namespace insta {
 namespace {
 
-#if INSTA_TELEMETRY_ENABLED
-
 TEST(Metrics, CounterBasics) {
   telemetry::MetricsRegistry reg;
   telemetry::Counter c = reg.counter("test.basic");
@@ -464,28 +462,6 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   const std::string json = tracer.chrome_trace_json();
   EXPECT_EQ(json.find("test.invisible"), std::string::npos);
 }
-
-#else  // !INSTA_TELEMETRY_ENABLED
-
-TEST(Metrics, StubsCompileAndReturnEmpty) {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  reg.counter("x").inc();
-  reg.gauge("y").set(1.0);
-  reg.histogram("z").observe(2.0);
-  EXPECT_TRUE(reg.snapshot().empty());
-  EXPECT_TRUE(telemetry::validate_metrics_json(reg.snapshot().to_json()).ok);
-}
-
-TEST(Trace, StubEmitsEmptyValidTrace) {
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  tracer.set_enabled(true);  // no-op
-  { INSTA_TRACE_SCOPE("test.invisible"); }
-  const telemetry::ValidationResult r =
-      telemetry::validate_chrome_trace(tracer.chrome_trace_json());
-  EXPECT_TRUE(r.ok);
-}
-
-#endif  // INSTA_TELEMETRY_ENABLED
 
 TEST(JsonParse, RoundTripsBasics) {
   telemetry::JsonValue doc;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "telemetry/metrics.hpp"
 #include "util/check.hpp"
 #include "util/memory.hpp"
 #include "util/rng.hpp"
@@ -237,6 +238,31 @@ TEST(ThreadPool, ConcurrentLaunchesFromExternalThreads) {
   for (const auto& c : counts) {
     EXPECT_EQ(c.load(), static_cast<long long>(kReps) * kN);
   }
+}
+
+TEST(ThreadPool, StatsCountWorkAndPublishToRegistry) {
+  ThreadPool pool(3);
+  std::vector<double> out(20000);
+  // Grain 16 over 20000 indices splits into the maximum 4 x (3 + 1) chunks,
+  // so the workers pull tickets alongside the caller.
+  pool.parallel_for(
+      0, out.size(),
+      [&](std::size_t i) { out[i] = std::sqrt(static_cast<double>(i)); }, 16);
+  const ThreadPool::PoolStats s = pool.stats();
+  EXPECT_EQ(s.workers, 3u);
+  EXPECT_GT(s.tasks_queued, 0u);
+  EXPECT_GT(s.tasks_executed, 0u);
+  EXPECT_GT(s.busy_sec + s.idle_sec, 0.0);
+
+  pool.publish_metrics();
+  const telemetry::MetricsSnapshot snap =
+      telemetry::MetricsRegistry::global().snapshot();
+  ASSERT_TRUE(snap.gauges.contains("pool.workers"));
+  ASSERT_TRUE(snap.gauges.contains("pool.utilization_pct"));
+  EXPECT_EQ(snap.gauges.at("pool.workers"), 3.0);
+  const double util_pct = snap.gauges.at("pool.utilization_pct");
+  EXPECT_GE(util_pct, 0.0);
+  EXPECT_LE(util_pct, 100.0);
 }
 
 TEST(ThreadPool, ManyRepeatedSmallLaunches) {
