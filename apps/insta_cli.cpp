@@ -63,6 +63,37 @@
 //                                            what-if latency percentiles
 //                                            once per interval (N polls,
 //                                            0 = until the server goes away)
+//   insta_cli client --connect <unix:/path | host:port> [modes...]
+//                                            client, verifier and load
+//                                            generator for `serve`. Modes
+//                                            run left to right in one call:
+//     --script f.ndjson                      send each request line, print
+//                                            each reply
+//     --verify 1 --in d.inet [--hold 1] [--topk K] [--samples N] [--seed S]
+//                                            load the same design
+//                                            in-process, replay identical
+//                                            summary/endpoints/whatif
+//                                            queries over the wire, and
+//                                            require bit-exact agreement
+//     --load 1 [--clients N] [--requests M] [--deltas D] [--seed S]
+//              [--edit 1] [--out report.json]
+//                                            closed-loop mixed read/what-if
+//                                            load from N connections (plus
+//                                            one edit commit with --edit);
+//                                            prints queries/sec and latency
+//                                            percentiles
+//     --commit N --in d.inet [--deltas D] [--seed S]
+//                                            send N edit commits built from
+//                                            random design changelists
+//     --compare <unix:/path | host:port> [--in d.inet] [--timeout-sec T]
+//               [--samples N] [--seed S]
+//                                            wait until both servers report
+//                                            one generation, then require
+//                                            byte-identical result payloads
+//                                            for identical requests
+//     --shutdown 1                           ask the server to shut down
+//                                            Exit 1 on any mismatch or
+//                                            failure, 2 on usage errors.
 //   insta_cli selftest                       end-to-end smoke test (tmpfile)
 //
 // Corners: report/profile/whatif/serve accept --corner with a
@@ -79,19 +110,14 @@
 //   --log-level <level>     debug|info|warn|error|off (overrides
 //                           INSTA_LOG_LEVEL)
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -113,6 +139,7 @@
 #include "ref/golden_sta.hpp"
 #include "ref/report.hpp"
 #include "replica/replica.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -274,7 +301,8 @@ void finish_telemetry(const Args& args) {
   }
 }
 
-/// Loads a design and prepares graph/delays/golden (hold optional).
+/// Loads a design and prepares graph/delays and, unless `golden` is false,
+/// the golden reference (hold optional).
 struct World {
   io::LoadedDesign loaded;
   std::unique_ptr<timing::TimingGraph> graph;
@@ -282,12 +310,14 @@ struct World {
   timing::ArcDelays delays;
   std::unique_ptr<ref::GoldenSta> sta;
 
-  explicit World(const std::string& path, bool hold = false) {
+  explicit World(const std::string& path, bool hold = false,
+                 bool golden = true) {
     loaded = io::load_design_file(path);
     graph = std::make_unique<timing::TimingGraph>(
         *loaded.design, loaded.constraints.clock_root);
     calc = std::make_unique<timing::DelayCalculator>(*loaded.design, *graph);
     calc->compute_all(delays);
+    if (!golden) return;
     ref::GoldenOptions opt;
     opt.enable_hold = hold;
     sta = std::make_unique<ref::GoldenSta>(*graph, loaded.constraints, delays,
@@ -855,8 +885,10 @@ int cmd_serve(const Args& args) {
     const double bootstrap_sec = args.get_num("bootstrap-seconds", 10);
     util::Stopwatch bsw;
     std::chrono::milliseconds retry_wait(5);
+    int attempts = 0;
     for (;;) {
       try {
+        ++attempts;
         replicator->bootstrap();
         break;
       } catch (const util::CheckError& e) {
@@ -869,8 +901,13 @@ int cmd_serve(const Args& args) {
     }
     service.set_replication_info(&replicator->info());
     replicator->start();
-    std::printf("replicating from %s (generation %llu)\n", replica_of.c_str(),
-                static_cast<unsigned long long>(service.snapshot()->version));
+    // Attempts and elapsed time tell a writer that was still starting (many
+    // attempts) from a slow first sync (one long attempt).
+    std::printf("replicating from %s (generation %llu, bootstrap attempts "
+                "%d, %.1f ms)\n",
+                replica_of.c_str(),
+                static_cast<unsigned long long>(service.snapshot()->version),
+                attempts, bsw.elapsed_sec() * 1e3);
   }
 
   serve::Server server(service, nopt);
@@ -932,81 +969,6 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-/// Minimal blocking NDJSON client used by the `top` dashboard. serve_client
-/// carries the full-featured client; this one stays small enough to live in
-/// the CLI without sharing socket code across binaries.
-class StatsConn {
- public:
-  explicit StatsConn(const std::string& target) {
-    if (target.rfind("unix:", 0) == 0) {
-      const std::string path = target.substr(5);
-      fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      util::check(fd_ >= 0, "top: socket: " + std::string(strerror(errno)));
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      util::check(path.size() < sizeof(addr.sun_path),
-                  "top: socket path too long: " + path);
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      util::check(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof(addr)) == 0,
-                  "top: connect " + target + ": " +
-                      std::string(strerror(errno)));
-    } else {
-      const auto colon = target.rfind(':');
-      util::check(colon != std::string::npos,
-                  "top: --connect wants unix:/path or host:port, got " +
-                      target);
-      const std::string host = target.substr(0, colon);
-      const int port = static_cast<int>(std::stod(target.substr(colon + 1)));
-      fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      util::check(fd_ >= 0, "top: socket: " + std::string(strerror(errno)));
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(port));
-      util::check(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-                  "top: bad host " + host);
-      util::check(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof(addr)) == 0,
-                  "top: connect " + target + ": " +
-                      std::string(strerror(errno)));
-    }
-  }
-  ~StatsConn() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  StatsConn(const StatsConn&) = delete;
-  StatsConn& operator=(const StatsConn&) = delete;
-
-  /// Sends one request line and returns the reply line (no newline).
-  [[nodiscard]] std::string request(const std::string& line) {
-    std::string out = line;
-    out.push_back('\n');
-    std::size_t sent = 0;
-    while (sent < out.size()) {
-      const ssize_t n = ::send(fd_, out.data() + sent, out.size() - sent, 0);
-      util::check(n > 0, "top: send: " + std::string(strerror(errno)));
-      sent += static_cast<std::size_t>(n);
-    }
-    std::string reply;
-    for (;;) {
-      const auto nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        reply = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return reply;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      util::check(n > 0, "top: server closed the connection");
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
-};
-
 /// Numeric field lookup with a default, for the loosely-coupled dashboard
 /// (older servers may lack newer stats fields).
 double stat_num(const telemetry::JsonValue& obj, std::string_view key,
@@ -1022,7 +984,7 @@ int cmd_top(const Args& args) {
   util::check(args.has("connect"), "top: --connect is required");
   const double interval = std::max(0.05, args.get_num("interval-sec", 1.0));
   const int iters = static_cast<int>(args.get_num("iters", 0));
-  StatsConn conn(args.get("connect", ""));
+  serve::Client conn(args.get("connect", ""));
 
   std::printf("%10s %10s %8s %8s %10s %10s %10s\n", "q/s", "reqs", "shed",
               "queue", "sessions", "p50_us", "p99_us");
@@ -1033,19 +995,13 @@ int cmd_top(const Args& args) {
     if (i > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(interval));
     }
-    const std::string reply = conn.request("{\"op\": \"stats\"}");
-    telemetry::JsonValue doc;
-    std::string err;
-    util::check(telemetry::json_parse(reply, doc, err),
-                "top: bad stats reply: " + err);
-    const telemetry::JsonValue* ok = doc.find("ok");
-    util::check(ok != nullptr && ok->boolean, "top: stats op failed");
-    const telemetry::JsonValue* result = doc.find("result");
-    util::check(result != nullptr && result->is_object(),
-                "top: stats reply lacks result");
+    const telemetry::JsonValue doc =
+        serve::parse_reply(conn.request("{\"op\": \"stats\"}"));
+    const telemetry::JsonValue& result =
+        serve::require_result(doc, "top: stats");
 
     const auto now = std::chrono::steady_clock::now();
-    const double requests = stat_num(*result, "whatif_requests");
+    const double requests = stat_num(result, "whatif_requests");
     double qps = 0.0;
     if (have_prev) {
       const double dt = std::chrono::duration<double>(now - prev_t).count();
@@ -1057,18 +1013,573 @@ int cmd_top(const Args& args) {
 
     double p50 = 0.0;
     double p99 = 0.0;
-    const telemetry::JsonValue* lat = result->find("latency_us");
+    const telemetry::JsonValue* lat = result.find("latency_us");
     if (lat != nullptr && lat->is_object()) {
       p50 = stat_num(*lat, "p50");
       p99 = stat_num(*lat, "p99");
     }
     std::printf("%10.1f %10.0f %8.0f %8.0f %10.0f %10.0f %10.0f\n", qps,
-                requests, stat_num(*result, "shed"),
-                stat_num(*result, "queue_depth"),
-                stat_num(*result, "open_sessions"), p50, p99);
+                requests, stat_num(result, "shed"),
+                stat_num(result, "queue_depth"),
+                stat_num(result, "open_sessions"), p50, p99);
     std::fflush(stdout);
   }
   return 0;
+}
+
+// ---- client: the NDJSON client, verifier and load generator for `serve` ----
+
+/// Fetches reply.result.<path...>; throws when the server refused or a
+/// field is absent (verification treats a missing field as a mismatch,
+/// not a soft skip).
+const telemetry::JsonValue& result_field(
+    const telemetry::JsonValue& reply, const std::string& what,
+    std::initializer_list<const char*> path) {
+  const telemetry::JsonValue* v = &serve::require_result(reply, what);
+  for (const char* key : path) {
+    v = v->find(key);
+    util::check(v != nullptr, what + ": reply result has no " + key);
+  }
+  return *v;
+}
+
+/// Sends one request; throws "<what>: <server message>" unless the server
+/// answered ok.
+void request_ok(serve::Client& conn, const std::string& req,
+                const std::string& what) {
+  (void)serve::require_result(serve::parse_reply(conn.request(req)), what);
+}
+
+std::string delta_json(const timing::ArcDelta& d) {
+  return "{\"arc\": " + std::to_string(d.arc) +
+         ", \"mu\": [" + telemetry::json_number(d.mu[0]) + ", " +
+         telemetry::json_number(d.mu[1]) + "], \"sigma\": [" +
+         telemetry::json_number(d.sigma[0]) + ", " +
+         telemetry::json_number(d.sigma[1]) + "]}";
+}
+
+std::string scenarios_json(
+    const std::vector<std::vector<timing::ArcDelta>>& scenarios) {
+  std::string s = "[";
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    if (i != 0) s += ", ";
+    s += "{\"deltas\": [";
+    for (std::size_t j = 0; j < scenarios[i].size(); ++j) {
+      if (j != 0) s += ", ";
+      s += delta_json(scenarios[i][j]);
+    }
+    s += "]}";
+  }
+  return s + "]";
+}
+
+/// The estimate_eco deltas of `samples` random resizes, one scenario each.
+std::vector<std::vector<timing::ArcDelta>> sample_scenarios(
+    const World& w, int samples, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<timing::ArcDelta>> scenarios;
+  for (const gen::Resize& rz :
+       gen::random_changelist(*w.loaded.design, *w.graph, rng, samples)) {
+    scenarios.push_back(w.calc->estimate_eco(rz.cell, rz.new_libcell));
+  }
+  return scenarios;
+}
+
+/// Exact double comparison against a wire number (json_number prints %.17g,
+/// which round-trips; NaN/inf arrive as null and compare equal to any
+/// non-finite local value).
+bool wire_equals(const telemetry::JsonValue& v, double local) {
+  if (v.type == telemetry::JsonValue::Type::kNull) {
+    return !std::isfinite(local);
+  }
+  return v.is_number() && v.number == local;
+}
+
+/// Reports one mismatch unless the wire value equals the local one;
+/// returns the number of mismatches (0 or 1).
+int expect_wire(const std::string& what, double local,
+                const telemetry::JsonValue& wire) {
+  if (wire_equals(wire, local)) return 0;
+  std::fprintf(stderr, "verify: MISMATCH %s: local %.17g, wire %s\n",
+               what.c_str(), local,
+               wire.is_number() ? "(number)" : "(non-number)");
+  if (wire.is_number()) {
+    std::fprintf(stderr, "  wire value %.17g\n", wire.number);
+  }
+  return 1;
+}
+
+/// Replays summary / endpoints / whatif against both the wire and a local
+/// engine built from the same design file, requiring exact equality.
+int run_verify(serve::Client& conn, const Args& args) {
+  util::check(args.has("in"), "verify: --in is required");
+  const bool hold = args.has("hold");
+  const World w(args.get("in", ""), hold);
+  core::EngineOptions eopt;
+  eopt.top_k = static_cast<int>(args.get_num("topk", 32));
+  eopt.enable_hold = hold;
+  core::Engine engine(*w.sta, eopt);
+  engine.run_forward();
+
+  int failures = 0;
+
+  // summary: the wire's cross-corner merged view (== corner 0 on
+  // single-corner engines) against merged_summary.
+  {
+    const auto reply = serve::parse_reply(
+        conn.request("{\"id\": 1, \"op\": \"summary\"}"));
+    const std::string what = "verify: summary";
+    const core::SlackSummary s = engine.merged_summary(core::Mode::kSetup);
+    failures += expect_wire("summary.setup.tns", s.tns,
+                            result_field(reply, what, {"setup", "tns"}));
+    failures += expect_wire("summary.setup.wns", s.wns,
+                            result_field(reply, what, {"setup", "wns"}));
+    if (hold) {
+      const core::SlackSummary h = engine.merged_summary(core::Mode::kHold);
+      failures += expect_wire("summary.hold.tns", h.tns,
+                              result_field(reply, what, {"hold", "tns"}));
+    }
+  }
+
+  // endpoints: every slack of the full range, exact float compare.
+  {
+    const std::size_t num_eps = w.graph->endpoints().size();
+    std::string ids = "[";
+    for (std::size_t e = 0; e < num_eps; ++e) {
+      if (e != 0) ids += ", ";
+      ids += std::to_string(e);
+    }
+    ids += "]";
+    const auto reply = serve::parse_reply(conn.request(
+        "{\"id\": 2, \"op\": \"endpoints\", \"ids\": " + ids + "}"));
+    const telemetry::JsonValue& eps =
+        result_field(reply, "verify: endpoints", {"endpoints"});
+    util::check(eps.is_array() && eps.array.size() == num_eps,
+                "verify: endpoints reply has wrong cardinality");
+    for (std::size_t e = 0; e < num_eps; ++e) {
+      const double local = static_cast<double>(
+          engine.endpoint_slack(static_cast<timing::EndpointId>(e)));
+      const telemetry::JsonValue* slack = eps.array[e].find("slack");
+      util::check(slack != nullptr, "verify: endpoint entry has no slack");
+      failures +=
+          expect_wire("endpoint " + std::to_string(e) + " slack", local,
+                      *slack);
+    }
+  }
+
+  // whatif: identical scenarios through ScenarioBatch locally and through
+  // the wire; setup/hold summaries must agree exactly.
+  {
+    const int samples =
+        std::max(1, static_cast<int>(args.get_num("samples", 8)));
+    const std::vector<std::vector<timing::ArcDelta>> scenarios =
+        sample_scenarios(w, samples,
+                         static_cast<std::uint64_t>(args.get_num("seed", 7)));
+    core::ScenarioBatch batch(engine);
+    const std::vector<core::ScenarioResult> local = batch.evaluate(scenarios);
+
+    const auto reply = serve::parse_reply(conn.request(
+        "{\"id\": 3, \"op\": \"whatif\", \"scenarios\": " +
+        scenarios_json(scenarios) + "}"));
+    const telemetry::JsonValue& results =
+        result_field(reply, "verify: whatif", {"results"});
+    util::check(results.is_array() && results.array.size() == local.size(),
+                "verify: whatif reply has wrong cardinality");
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      const telemetry::JsonValue& r = results.array[i];
+      const telemetry::JsonValue* setup = r.find("setup");
+      util::check(setup != nullptr, "verify: whatif result has no setup");
+      const std::string tag = "whatif[" + std::to_string(i) + "]";
+      const telemetry::JsonValue* tns = setup->find("tns");
+      const telemetry::JsonValue* wns = setup->find("wns");
+      util::check(tns != nullptr && wns != nullptr,
+                  "verify: whatif summary is incomplete");
+      failures += expect_wire(tag + ".setup.tns", local[i].setup.tns, *tns);
+      failures += expect_wire(tag + ".setup.wns", local[i].setup.wns, *wns);
+      if (hold) {
+        const telemetry::JsonValue* hs = r.find("hold");
+        util::check(hs != nullptr, "verify: whatif result has no hold");
+        const telemetry::JsonValue* htns = hs->find("tns");
+        util::check(htns != nullptr, "verify: hold summary is incomplete");
+        failures += expect_wire(tag + ".hold.tns", local[i].hold.tns, *htns);
+      }
+    }
+  }
+
+  if (failures == 0) {
+    std::printf("verify: wire replies are bit-identical to in-process "
+                "evaluation\n");
+    return 0;
+  }
+  std::fprintf(stderr, "verify: %d mismatches\n", failures);
+  return 1;
+}
+
+/// Latency percentile over a sorted sample set.
+double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1));
+  return sorted[idx];
+}
+
+/// Closed-loop mixed workload from one client thread. Records per-request
+/// latency (seconds); counts shed replies separately from failures.
+struct LoadResult {
+  std::vector<double> latencies;
+  std::uint64_t ok = 0;
+  std::uint64_t shed = 0;      ///< "overloaded" replies (admission control)
+  std::uint64_t rejected = 0;  ///< "bad-request" replies (e.g. a random
+                               ///< delta landing on a clock-network arc)
+  std::uint64_t failed = 0;    ///< anything else — a real protocol failure
+};
+
+void run_load_client(const std::string& endpoint, int requests, int deltas,
+                     std::uint64_t seed, std::int64_t num_arcs,
+                     LoadResult& out) {
+  serve::Client conn(endpoint);
+  util::Rng rng(seed);
+  for (int i = 0; i < requests; ++i) {
+    std::string req;
+    const std::uint64_t pick = rng() % 4;
+    if (pick == 0) {
+      req = "{\"id\": " + std::to_string(i) + ", \"op\": \"summary\"}";
+    } else if (pick == 1) {
+      req = "{\"id\": " + std::to_string(i) +
+            ", \"op\": \"endpoints\", \"worst\": 8}";
+    } else {
+      std::string ds = "[";
+      for (int j = 0; j < deltas; ++j) {
+        if (j != 0) ds += ", ";
+        const auto arc = static_cast<std::int64_t>(
+            rng() % static_cast<std::uint64_t>(num_arcs));
+        const double mu = 0.5 + 3.0 * rng.uniform();
+        ds += "{\"arc\": " + std::to_string(arc) + ", \"mu\": [" +
+              telemetry::json_number(mu) + ", " + telemetry::json_number(mu) +
+              "]}";
+      }
+      ds += "]";
+      req = "{\"id\": " + std::to_string(i) +
+            ", \"op\": \"whatif\", \"scenarios\": [{\"deltas\": " + ds +
+            "}]}";
+    }
+    util::Stopwatch sw;
+    const std::string line = conn.request(req);
+    out.latencies.push_back(sw.elapsed_sec());
+    const auto reply = serve::parse_reply(line);
+    const std::string code = serve::reply_error_code(reply);
+    if (serve::reply_ok(reply)) {
+      ++out.ok;
+    } else if (code == "overloaded") {
+      ++out.shed;
+    } else if (code == "bad-request") {
+      ++out.rejected;
+    } else {
+      ++out.failed;
+    }
+  }
+}
+
+int run_load(const Args& args, const std::string& endpoint) {
+  const int clients = std::max(1, static_cast<int>(args.get_num("clients",
+                                                                4)));
+  const int requests = std::max(1, static_cast<int>(args.get_num("requests",
+                                                                 50)));
+  const int deltas = std::max(1, static_cast<int>(args.get_num("deltas", 4)));
+  const auto seed = static_cast<std::uint64_t>(args.get_num("seed", 11));
+
+  std::int64_t num_arcs = 0;
+  {
+    serve::Client probe(endpoint);
+    const auto reply =
+        serve::parse_reply(probe.request("{\"id\": 0, \"op\": \"info\"}"));
+    num_arcs = static_cast<std::int64_t>(
+        result_field(reply, "load: info", {"arcs"}).number);
+    util::check(num_arcs > 0, "load: server reports no arcs");
+  }
+
+  std::vector<LoadResult> results(static_cast<std::size_t>(clients));
+  std::vector<std::thread> threads;
+  util::Stopwatch wall;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      run_load_client(endpoint, requests, deltas, seed + 1000u * c, num_arcs,
+                      results[static_cast<std::size_t>(c)]);
+    });
+  }
+  // One mid-run edit commit (small annotate) exercises snapshot
+  // republication while readers and what-ifs are in flight.
+  std::uint64_t commits = 0;
+  if (args.has("edit")) {
+    serve::Client edit(endpoint);
+    util::Rng rng(seed + 77);
+    const auto arc = static_cast<std::int64_t>(
+        rng() % static_cast<std::uint64_t>(num_arcs));
+    request_ok(edit, "{\"id\": 90, \"op\": \"begin_edit\"}",
+               "load: begin_edit");
+    request_ok(edit,
+               "{\"id\": 91, \"op\": \"annotate\", \"deltas\": [{\"arc\": " +
+                   std::to_string(arc) + ", \"mu\": [1.25, 1.25]}]}",
+               "load: annotate");
+    request_ok(edit, "{\"id\": 92, \"op\": \"commit\"}", "load: commit");
+    ++commits;
+  }
+  for (std::thread& t : threads) t.join();
+  const double wall_sec = wall.elapsed_sec();
+
+  std::vector<double> all;
+  std::uint64_t ok = 0, shed = 0, rejected = 0, failed = 0;
+  for (const LoadResult& r : results) {
+    all.insert(all.end(), r.latencies.begin(), r.latencies.end());
+    ok += r.ok;
+    shed += r.shed;
+    rejected += r.rejected;
+    failed += r.failed;
+  }
+  std::sort(all.begin(), all.end());
+  std::printf("load: %d clients x %d requests in %.2f s: %.0f q/s, "
+              "%llu ok, %llu shed, %llu rejected, %llu failed, "
+              "%llu commits\n",
+              clients, requests, wall_sec,
+              static_cast<double>(all.size()) / wall_sec,
+              static_cast<unsigned long long>(ok),
+              static_cast<unsigned long long>(shed),
+              static_cast<unsigned long long>(rejected),
+              static_cast<unsigned long long>(failed),
+              static_cast<unsigned long long>(commits));
+  std::printf("load: latency p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, "
+              "max %.2f ms\n",
+              percentile(all, 0.50) * 1e3, percentile(all, 0.95) * 1e3,
+              percentile(all, 0.99) * 1e3, all.empty() ? 0.0 : all.back() *
+                                                                   1e3);
+  if (args.has("out")) {
+    // Machine-readable run report, in the shape
+    // telemetry::validate_serve_report checks (telemetry_check
+    // --serve-report).
+    const std::string path = args.get("out", "");
+    std::ofstream f(path, std::ios::binary);
+    util::check(static_cast<bool>(f), "load: cannot write " + path);
+    f << "{\n  \"clients\": " << clients
+      << ",\n  \"requests_per_client\": " << requests << ",\n  \"ok\": " << ok
+      << ",\n  \"shed\": " << shed << ",\n  \"rejected\": " << rejected
+      << ",\n  \"failed\": " << failed << ",\n  \"commits\": " << commits
+      << ",\n  \"wall_sec\": " << telemetry::json_number(wall_sec)
+      << ",\n  \"qps\": "
+      << telemetry::json_number(static_cast<double>(all.size()) / wall_sec)
+      << ",\n  \"latency_ms\": {\"p50\": "
+      << telemetry::json_number(percentile(all, 0.50) * 1e3) << ", \"p95\": "
+      << telemetry::json_number(percentile(all, 0.95) * 1e3) << ", \"p99\": "
+      << telemetry::json_number(percentile(all, 0.99) * 1e3) << ", \"max\": "
+      << telemetry::json_number(all.empty() ? 0.0 : all.back() * 1e3)
+      << "}\n}\n";
+    util::check(f.good(), "load: short write to " + path);
+    std::printf("load: wrote report to %s\n", path.c_str());
+  }
+  return failed == 0 ? 0 : 1;
+}
+
+/// Sends N edit commits built from random design changelists — the
+/// writer-side driver the replication smoke test uses to advance the
+/// generation chain.
+int run_commit(serve::Client& conn, const Args& args) {
+  util::check(args.has("in"), "commit: --in is required");
+  const int commits = std::max(1, static_cast<int>(args.get_num("commit", 1)));
+  const int resizes = std::max(1, static_cast<int>(args.get_num("deltas", 4)));
+  const World w(args.get("in", ""), /*hold=*/false, /*golden=*/false);
+  util::Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 19)));
+
+  for (int i = 0; i < commits; ++i) {
+    request_ok(conn, "{\"id\": 70, \"op\": \"begin_edit\"}",
+               "commit: begin_edit");
+    const std::vector<gen::Resize> changes =
+        gen::random_changelist(*w.loaded.design, *w.graph, rng, resizes);
+    for (const gen::Resize& rz : changes) {
+      const std::vector<timing::ArcDelta> deltas =
+          w.calc->estimate_eco(rz.cell, rz.new_libcell);
+      if (deltas.empty()) continue;
+      std::string ds = "[";
+      for (std::size_t j = 0; j < deltas.size(); ++j) {
+        if (j != 0) ds += ", ";
+        ds += delta_json(deltas[j]);
+      }
+      ds += "]";
+      request_ok(conn,
+                 "{\"id\": 71, \"op\": \"annotate\", \"deltas\": " + ds + "}",
+                 "commit: annotate");
+    }
+    const auto reply =
+        serve::parse_reply(conn.request("{\"id\": 72, \"op\": \"commit\"}"));
+    std::printf("commit %d/%d: version %.0f\n", i + 1, commits,
+                result_field(reply, "commit: commit", {"version"}).number);
+  }
+  return 0;
+}
+
+/// The reply's result payload as raw bytes, with the per-server
+/// "server_us" timing object (the one legitimately deployment-variant
+/// member) stripped: the unit of the replication bit-identity gate.
+std::string result_bytes(const std::string& reply, const std::string& what) {
+  const std::size_t lo = reply.find("\"result\": ");
+  util::check(lo != std::string::npos,
+              "compare: " + what + " reply has no result");
+  const std::size_t hi = reply.rfind(", \"server_us\": ");
+  util::check(hi != std::string::npos && hi > lo,
+              "compare: " + what + " reply has no server_us");
+  return reply.substr(lo, hi - lo);
+}
+
+/// Waits until two servers report the same generation, then requires
+/// byte-identical result payloads for identical requests on both.
+int run_compare(const Args& args, const std::string& a_ep) {
+  serve::Client a(a_ep);
+  serve::Client b(args.get("compare", ""));
+  const double timeout_sec = args.get_num("timeout-sec", 30);
+
+  // Convergence gate: a replica is allowed to lag, not to drift, so poll
+  // until both sides sit at one generation before comparing bytes.
+  util::Stopwatch sw;
+  double gen_a = -1.0;
+  double gen_b = -2.0;
+  for (;;) {
+    const auto ra =
+        serve::parse_reply(a.request("{\"id\": 1, \"op\": \"stats\"}"));
+    const auto rb =
+        serve::parse_reply(b.request("{\"id\": 1, \"op\": \"stats\"}"));
+    gen_a = result_field(ra, "compare: stats", {"generation"}).number;
+    gen_b = result_field(rb, "compare: stats", {"generation"}).number;
+    if (gen_a == gen_b) break;
+    util::check(sw.elapsed_sec() < timeout_sec,
+                "compare: servers did not converge within " +
+                    std::to_string(timeout_sec) + " s (generations " +
+                    std::to_string(gen_a) + " vs " + std::to_string(gen_b) +
+                    ")");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  std::printf("compare: both servers at generation %.0f\n", gen_a);
+
+  int failures = 0;
+  const auto compare_req = [&](const std::string& req,
+                               const std::string& what) {
+    const std::string la = a.request(req);
+    const std::string lb = b.request(req);
+    util::check(serve::reply_ok(serve::parse_reply(la)) &&
+                    serve::reply_ok(serve::parse_reply(lb)),
+                "compare: " + what + " failed on the wire");
+    if (result_bytes(la, what) != result_bytes(lb, what)) {
+      std::fprintf(stderr, "compare: MISMATCH %s\n  A: %s\n  B: %s\n",
+                   what.c_str(), la.c_str(), lb.c_str());
+      ++failures;
+    }
+  };
+
+  compare_req("{\"id\": 2, \"op\": \"summary\"}", "summary");
+  compare_req("{\"id\": 3, \"op\": \"endpoints\", \"worst\": 64}",
+              "endpoints");
+  // Per-corner views, from the corner list both sides advertise.
+  {
+    const auto info =
+        serve::parse_reply(a.request("{\"id\": 4, \"op\": \"info\"}"));
+    const telemetry::JsonValue& corners =
+        result_field(info, "compare: info", {"corners"});
+    for (std::size_t c = 0; c < corners.array.size(); ++c) {
+      compare_req("{\"id\": 5, \"op\": \"summary\", \"corner\": " +
+                      std::to_string(c) + "}",
+                  "summary[corner " + std::to_string(c) + "]");
+    }
+  }
+  // What-if equivalence needs real deltas, which need the design file.
+  if (args.has("in")) {
+    const World w(args.get("in", ""), /*hold=*/false, /*golden=*/false);
+    const int samples =
+        std::max(1, static_cast<int>(args.get_num("samples", 4)));
+    const auto scenarios = sample_scenarios(
+        w, samples, static_cast<std::uint64_t>(args.get_num("seed", 23)));
+    compare_req("{\"id\": 6, \"op\": \"whatif\", \"scenarios\": " +
+                    scenarios_json(scenarios) + "}",
+                "whatif");
+  }
+
+  if (failures == 0) {
+    std::printf("compare: result payloads are byte-identical\n");
+    return 0;
+  }
+  std::fprintf(stderr, "compare: %d mismatches\n", failures);
+  return 1;
+}
+
+int run_script(serve::Client& conn, const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  util::check(static_cast<bool>(f), "script: cannot read " + path);
+  std::string line;
+  int rc = 0;
+  while (std::getline(f, line)) {
+    if (line.empty()) continue;
+    const std::string reply = conn.request(line);
+    std::printf("%s\n", reply.c_str());
+    if (!serve::reply_ok(serve::parse_reply(reply))) rc = 1;
+  }
+  return rc;
+}
+
+void client_usage() {
+  std::fprintf(stderr,
+               "usage: insta_cli client --connect <unix:/path | host:port>\n"
+               "  [--script f.ndjson]                 replay request lines\n"
+               "  [--verify 1 --in d.inet [--hold 1] [--topk K]\n"
+               "   [--samples N] [--seed S]]          exact wire-vs-local "
+               "check\n"
+               "  [--load 1 [--clients N] [--requests M] [--deltas D]\n"
+               "   [--seed S] [--edit 1]\n"
+               "   [--out report.json]]               closed-loop load; --out\n"
+               "                                      writes a JSON run "
+               "report\n"
+               "  [--commit N --in d.inet [--deltas D] [--seed S]]\n"
+               "                                      send N random edit "
+               "commits\n"
+               "  [--compare <unix:/path | host:port> [--in d.inet]\n"
+               "   [--timeout-sec T] [--samples N] [--seed S]]\n"
+               "                                      byte-compare two "
+               "servers\n"
+               "  [--shutdown 1]                      stop the server\n");
+}
+
+/// Runs the requested client modes left to right: --script, --verify,
+/// --load, --commit, --compare, --shutdown. Exit 1 on any mismatch or
+/// failure, 2 on usage errors.
+int cmd_client(const Args& args) {
+  const bool any_mode = args.has("script") || args.has("verify") ||
+                        args.has("load") || args.has("commit") ||
+                        args.has("compare") || args.has("shutdown");
+  if (!args.has("connect") || !any_mode) {
+    client_usage();
+    return 2;
+  }
+  const std::string endpoint = args.get("connect", "");
+  int rc = 0;
+  if (args.has("script")) {
+    serve::Client conn(endpoint);
+    rc = std::max(rc, run_script(conn, args.get("script", "")));
+  }
+  if (args.has("verify")) {
+    serve::Client conn(endpoint);
+    rc = std::max(rc, run_verify(conn, args));
+  }
+  if (args.has("load")) {
+    rc = std::max(rc, run_load(args, endpoint));
+  }
+  if (args.has("commit")) {
+    serve::Client conn(endpoint);
+    rc = std::max(rc, run_commit(conn, args));
+  }
+  if (args.has("compare")) {
+    rc = std::max(rc, run_compare(args, endpoint));
+  }
+  if (args.has("shutdown")) {
+    serve::Client conn(endpoint);
+    request_ok(conn, "{\"id\": 99, \"op\": \"shutdown\"}", "shutdown");
+    std::printf("server shutting down\n");
+  }
+  return rc;
 }
 
 int cmd_selftest() {
@@ -1119,6 +1630,29 @@ int cmd_selftest() {
     }
     util::check(vr.ok, "selftest: whatif output failed schema validation");
   }
+  {
+    // Serve the design in-process on a temporary unix socket and drive the
+    // client modes that read the design against it: --verify, one
+    // --commit, --compare of the server with itself, then --shutdown.
+    const World w(path);
+    core::Engine engine(*w.sta, {});
+    engine.run_forward();
+    serve::TimingService service(engine);
+    serve::ServerOptions nopt;
+    nopt.unix_path =
+        "/tmp/insta_cli_selftest_" + std::to_string(::getpid()) + ".sock";
+    serve::Server server(service, nopt);
+    server.start();
+    const std::string endpoint = server.endpoint();
+    const char* argv[] = {"--connect", endpoint.c_str(), "--in", path.c_str(),
+                          "--verify",  "1",              "--commit", "1",
+                          "--compare", endpoint.c_str(), "--shutdown", "1"};
+    Args args(12, const_cast<char**>(argv), 0);
+    util::check(cmd_client(args) == 0, "selftest: client failed");
+    server.wait();
+    util::check(server.shutdown_requested(),
+                "selftest: server missed the shutdown op");
+  }
   std::printf("selftest passed\n");
   return 0;
 }
@@ -1127,7 +1661,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: insta_cli "
                "<generate|report|size|buffer|lint|profile|whatif|serve|top|"
-               "selftest> "
+               "client|selftest> "
                "[--option value ...]\n"
                "global: [--metrics-json m.json] [--trace t.json] "
                "[--flightrec-json f.json] "
@@ -1164,6 +1698,8 @@ int main(int argc, char** argv) {
       rc = cmd_serve(args);
     } else if (cmd == "top") {
       rc = cmd_top(args);
+    } else if (cmd == "client") {
+      rc = cmd_client(args);
     } else if (cmd == "selftest") {
       rc = cmd_selftest();
     } else {

@@ -1,7 +1,7 @@
 // telemetry_check — structural validator for the JSON artifacts the
 // telemetry subsystem emits. CI runs it against the files produced by
 // `insta_cli ... --metrics-json m.json --trace t.json --flightrec-json
-// f.json` and `serve_client --load --out report.json`.
+// f.json` and `insta_cli client --load --out report.json`.
 //
 //   telemetry_check [--trace t.json] [--metrics m.json] [--whatif w.json]
 //                   [--flightrec f.json] [--serve-report r.json]

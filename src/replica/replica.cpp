@@ -1,15 +1,6 @@
 #include "replica/replica.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "replica/codec.hpp"
@@ -23,43 +14,10 @@ namespace {
 using telemetry::JsonValue;
 using util::check;
 
-std::string errno_text() {
-  return std::strerror(errno);  // NOLINT(concurrency-mt-unsafe)
-}
-
 std::int64_t now_unix_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-JsonValue parse_reply(const std::string& line) {
-  JsonValue doc;
-  std::string error;
-  check(telemetry::json_parse(line, doc, error),
-        "replicator: malformed reply line: " + error);
-  return doc;
-}
-
-/// Returns reply.result after checking ok; throws with the server's error
-/// message otherwise (the upstream is authoritative about why it refused).
-const JsonValue& require_result(const JsonValue& reply, const char* op) {
-  const JsonValue* ok = reply.find("ok");
-  if (ok == nullptr || ok->type != JsonValue::Type::kBool || !ok->boolean) {
-    std::string message = "upstream rejected the request";
-    if (const JsonValue* err = reply.find("error");
-        err != nullptr && err->is_object()) {
-      if (const JsonValue* msg = err->find("message");
-          msg != nullptr && msg->is_string()) {
-        message = msg->string;
-      }
-    }
-    check(false, std::string("replicator: ") + op + ": " + message);
-  }
-  const JsonValue* result = reply.find("result");
-  check(result != nullptr, std::string("replicator: ") + op +
-                               ": reply has no result");
-  return *result;
 }
 
 std::uint64_t require_u64(const JsonValue& obj, const char* key,
@@ -72,85 +30,6 @@ std::uint64_t require_u64(const JsonValue& obj, const char* key,
 
 }  // namespace
 
-// ---- NetClient ----------------------------------------------------------
-
-NetClient::NetClient(const std::string& endpoint) {
-  if (endpoint.rfind("unix:", 0) == 0) {
-    const std::string path = endpoint.substr(5);
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    check(fd_ >= 0, "socket: " + errno_text());
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    check(path.size() < sizeof(addr.sun_path), "unix path too long: " + path);
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const std::string why = errno_text();
-      ::close(fd_);
-      fd_ = -1;
-      check(false, "connect " + endpoint + ": " + why);
-    }
-  } else {
-    const std::size_t colon = endpoint.rfind(':');
-    check(colon != std::string::npos,
-          "upstream must be unix:/path or host:port, got " + endpoint);
-    const std::string host = endpoint.substr(0, colon);
-    const int port = std::atoi(endpoint.c_str() + colon + 1);
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    check(fd_ >= 0, "socket: " + errno_text());
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    check(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-          "cannot parse host address " + host);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const std::string why = errno_text();
-      ::close(fd_);
-      fd_ = -1;
-      check(false, "connect " + endpoint + ": " + why);
-    }
-  }
-}
-
-NetClient::~NetClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-std::string NetClient::request(const std::string& line) {
-  send_line(line);
-  return recv_line();
-}
-
-void NetClient::send_line(const std::string& line) {
-  const std::string framed = line + "\n";
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n =
-        ::send(fd_, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-    check(n > 0 || errno == EINTR, "send: " + errno_text());
-    if (n > 0) off += static_cast<std::size_t>(n);
-  }
-}
-
-std::string NetClient::recv_line() {
-  for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    check(n > 0, "upstream closed the connection");
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-// ---- Replicator ---------------------------------------------------------
-
 Replicator::Replicator(serve::TimingService& service,
                        ReplicatorOptions options)
     : service_(&service), options_(std::move(options)) {
@@ -160,11 +39,12 @@ Replicator::Replicator(serve::TimingService& service,
 
 Replicator::~Replicator() { stop(); }
 
-void Replicator::catch_up(NetClient& client) {
+void Replicator::catch_up(serve::Client& client) {
   const std::uint64_t local = service_->snapshot()->version;
-  const JsonValue ds_reply = parse_reply(client.request(
+  const JsonValue ds_reply = serve::parse_reply(client.request(
       "{\"op\": \"delta_stream\", \"from\": " + std::to_string(local) + "}"));
-  const JsonValue& ds = require_result(ds_reply, "delta_stream");
+  const JsonValue& ds =
+      serve::require_result(ds_reply, "replicator: delta_stream");
   info_.upstream_generation.store(
       require_u64(ds, "generation", "delta_stream"));
 
@@ -196,8 +76,9 @@ void Replicator::catch_up(NetClient& client) {
 
   if (resync) {
     const JsonValue sync_reply =
-        parse_reply(client.request("{\"op\": \"sync\"}"));
-    const JsonValue& sy = require_result(sync_reply, "sync");
+        serve::parse_reply(client.request("{\"op\": \"sync\"}"));
+    const JsonValue& sy =
+        serve::require_result(sync_reply, "replicator: sync");
     const JsonValue* snap_b64 = sy.find("snapshot");
     check(snap_b64 != nullptr && snap_b64->is_string(),
           "replicator: sync reply has no snapshot");
@@ -217,7 +98,7 @@ void Replicator::catch_up(NetClient& client) {
 void Replicator::bootstrap() {
   try {
     if (client_ == nullptr) {
-      client_ = std::make_unique<NetClient>(options_.upstream);
+      client_ = std::make_unique<serve::Client>(options_.upstream);
     }
     catch_up(*client_);
   } catch (...) {
@@ -250,7 +131,7 @@ void Replicator::run() {
   while (!stop_requested_.load()) {
     try {
       if (client_ == nullptr) {
-        client_ = std::make_unique<NetClient>(options_.upstream);
+        client_ = std::make_unique<serve::Client>(options_.upstream);
       }
       catch_up(*client_);
       info_.connected.store(true);

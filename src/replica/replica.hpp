@@ -27,32 +27,13 @@
 #include <thread>
 
 #include "replica/replication_info.hpp"
+#include "serve/client.hpp"
 #include "serve/service.hpp"
 #include "util/lock_rank.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace insta::replica {
-
-/// One blocking NDJSON client connection to `unix:/path` or `host:port`
-/// (IPv4 literal). request() sends one line and returns the matching reply
-/// line; every failure throws util::CheckError.
-class NetClient {
- public:
-  explicit NetClient(const std::string& endpoint);
-  ~NetClient();
-  NetClient(const NetClient&) = delete;
-  NetClient& operator=(const NetClient&) = delete;
-
-  std::string request(const std::string& line);
-
- private:
-  void send_line(const std::string& line);
-  std::string recv_line();
-
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 struct ReplicatorOptions {
   std::string upstream;  ///< unix:/path or host:port of the writer
@@ -84,7 +65,7 @@ class Replicator {
 
  private:
   /// Runs one catch-up cycle over `client`; throws on connection loss.
-  void catch_up(NetClient& client);
+  void catch_up(serve::Client& client);
   void run();  ///< poll-thread body
 
   serve::TimingService* service_;
@@ -92,7 +73,7 @@ class Replicator {
   ReplicationInfo info_;
   /// Upstream connection, owned by whichever thread is replicating
   /// (bootstrap caller before start(), the poll thread after).
-  std::unique_ptr<NetClient> client_;
+  std::unique_ptr<serve::Client> client_;
 
   util::Mutex stop_mu_{"replica.poll", util::lockrank::kReplicaCache};
   util::CondVar stop_cv_;

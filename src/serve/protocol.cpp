@@ -363,24 +363,31 @@ std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
   // is used verbatim, anything else (absent, 0, or an unparseable line) is
   // assigned a fresh server-generated id that the reply echoes.
   if (req.id == 0) req.id = static_cast<std::int64_t>(next_request_id());
-  telemetry::FlightRecorder::global().record(
-      telemetry::FlightEventType::kAdmit, static_cast<std::uint64_t>(req.id),
-      0, op_tag(req.op));
+  // The dispatcher records the one admit and the one reply of every wire
+  // request; the service records only the what-if pipeline in between.
+  auto& fr = telemetry::FlightRecorder::global();
+  const auto id = static_cast<std::uint64_t>(req.id);
+  fr.record(telemetry::FlightEventType::kAdmit, id, 0, op_tag(req.op));
 
-  ReplyTiming timing;
-  std::string reply =
-      parsed ? dispatch_op(req, shutdown, timing)
-             : error_reply(req.id, ErrorCode::kBadRequest, "malformed request",
-                           &report);
+  ReplyRecord rec;
+  std::string reply;
+  if (parsed) {
+    reply = dispatch_op(req, shutdown, rec);
+  } else {
+    rec.error = ErrorCode::kBadRequest;
+    reply = error_reply(req.id, rec.error, "malformed request", &report);
+  }
+  fr.record(telemetry::FlightEventType::kReply, id, rec.generation,
+            static_cast<std::uint32_t>(rec.error));
 
   // Inject the server_us breakdown as a top-level reply member (every
   // reply builder ends its object with '}').
   const std::int64_t total_us = us_since(t0);
   std::string breakdown =
-      "\"queue\": " + std::to_string(timing.queue_us) +
-      ", \"batch\": " + std::to_string(timing.batch_us) +
-      ", \"eval\": " + std::to_string(timing.eval_us) +
-      ", \"serialize\": " + std::to_string(timing.serialize_us) +
+      "\"queue\": " + std::to_string(rec.queue_us) +
+      ", \"batch\": " + std::to_string(rec.batch_us) +
+      ", \"eval\": " + std::to_string(rec.eval_us) +
+      ", \"serialize\": " + std::to_string(rec.serialize_us) +
       ", \"total\": " + std::to_string(total_us);
   reply.pop_back();
   reply += ", \"server_us\": {" + breakdown + "}}";
@@ -394,8 +401,14 @@ std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
 }
 
 std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
-                                    ReplyTiming& timing) {
+                                    ReplyRecord& rec) {
   const std::string& op = req.op;
+  // Every error reply goes through here, so the reply event carries its code.
+  const auto fail = [&](ErrorCode code, std::string_view message,
+                        const LintReport* diagnostics = nullptr) {
+    rec.error = code;
+    return error_reply(req.id, code, message, diagnostics);
+  };
 
   // Corner selection: resolve it once for the ops that accept it. ci stays
   // -1 for the merged view.
@@ -406,11 +419,9 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     const auto snap = service_->snapshot();
     ci = find_corner(snap->corners, req);
     if (ci < 0) {
-      return error_reply(req.id, ErrorCode::kUnknownCorner,
-                         "unknown corner " + corner_spelling(req) +
-                             " (engine has " +
-                             std::to_string(snap->corners.size()) +
-                             " corners)");
+      return fail(ErrorCode::kUnknownCorner,
+                  "unknown corner " + corner_spelling(req) + " (engine has " +
+                      std::to_string(snap->corners.size()) + " corners)");
     }
   }
 
@@ -495,10 +506,9 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     } else {
       for (const std::int64_t id : req.endpoint_ids) {
         if (id < 0 || static_cast<std::size_t>(id) >= n) {
-          return error_reply(req.id, ErrorCode::kBadRequest,
-                             "endpoint id " + std::to_string(id) +
-                                 " out of range [0, " + std::to_string(n) +
-                                 ")");
+          return fail(ErrorCode::kBadRequest,
+                      "endpoint id " + std::to_string(id) +
+                          " out of range [0, " + std::to_string(n) + ")");
         }
         ids.push_back(id);
       }
@@ -529,7 +539,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
   if (op == "open") {
     SessionId sid = -1;
     const Error err = service_->open_session(sid);
-    if (!err.ok()) return error_reply(req.id, err.code, err.message);
+    if (!err.ok()) return fail(err.code, err.message);
     owned_.push_back(sid);
     return ok_reply(req.id, "{\"session\": " + std::to_string(sid) + "}");
   }
@@ -538,10 +548,10 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     SessionId sid = -1;
     Error err;
     if (!resolve_session(req, sid, err)) {
-      return error_reply(req.id, err.code, err.message);
+      return fail(err.code, err.message);
     }
     err = service_->close_session(sid);
-    if (!err.ok()) return error_reply(req.id, err.code, err.message);
+    if (!err.ok()) return fail(err.code, err.message);
     owned_.erase(std::remove(owned_.begin(), owned_.end(), sid),
                  owned_.end());
     if (sid == implicit_) implicit_ = -1;
@@ -552,7 +562,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     SessionId sid = -1;
     Error err;
     if (!resolve_session(req, sid, err)) {
-      return error_reply(req.id, err.code, err.message);
+      return fail(err.code, err.message);
     }
     TimingService::WhatifReply reply;
     // The resolved corner shapes only the reply view and the cache key; it
@@ -561,11 +571,12 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
                            static_cast<std::uint64_t>(req.id),
                            ci >= 0 ? static_cast<core::CornerId>(ci)
                                    : core::kAllCorners);
-    timing.queue_us = reply.timing.queue_us;
-    timing.batch_us = reply.timing.batch_us;
-    timing.eval_us = reply.timing.eval_us;
+    rec.queue_us = reply.timing.queue_us;
+    rec.batch_us = reply.timing.batch_us;
+    rec.eval_us = reply.timing.eval_us;
+    rec.generation = reply.version;
     if (!err.ok()) {
-      return error_reply(req.id, err.code, err.message, &err.diagnostics);
+      return fail(err.code, err.message, &err.diagnostics);
     }
     const std::uint64_t ser0 = telemetry::Tracer::now_ns();
     std::string body = "{\"version\": " + std::to_string(reply.version);
@@ -614,7 +625,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     }
     body += "]}";
     std::string out = ok_reply(req.id, body);
-    timing.serialize_us = us_since(ser0);
+    rec.serialize_us = us_since(ser0);
     return out;
   }
 
@@ -623,17 +634,17 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     SessionId sid = -1;
     Error err;
     if (!resolve_session(req, sid, err)) {
-      return error_reply(req.id, err.code, err.message);
+      return fail(err.code, err.message);
     }
     if (op == "begin_edit") {
       err = service_->begin_edit(sid);
-      if (!err.ok()) return error_reply(req.id, err.code, err.message);
+      if (!err.ok()) return fail(err.code, err.message);
       return ok_reply(req.id, "{\"editing\": true}");
     }
     if (op == "annotate") {
       err = service_->annotate(sid, req.deltas);
       if (!err.ok()) {
-        return error_reply(req.id, err.code, err.message, &err.diagnostics);
+        return fail(err.code, err.message, &err.diagnostics);
       }
       return ok_reply(
           req.id, "{\"buffered\": " + std::to_string(req.deltas.size()) + "}");
@@ -641,7 +652,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     if (op == "commit") {
       TimingService::CommitReply reply;
       err = service_->commit(sid, reply);
-      if (!err.ok()) return error_reply(req.id, err.code, err.message);
+      if (!err.ok()) return fail(err.code, err.message);
       std::string body = "{\"version\": " + std::to_string(reply.version) +
                          ", \"setup\": " + summary_body(reply.setup);
       if (service_->engine().options().enable_hold) {
@@ -651,7 +662,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
       return ok_reply(req.id, body);
     }
     err = service_->rollback(sid);
-    if (!err.ok()) return error_reply(req.id, err.code, err.message);
+    if (!err.ok()) return fail(err.code, err.message);
     return ok_reply(req.id, "{\"rolled_back\": true}");
   }
 
@@ -718,7 +729,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
                        ", \"snapshot\": \"" + replica::base64_encode(frame) +
                        "\"}";
     std::string out = ok_reply(req.id, body);
-    timing.serialize_us = us_since(ser0);
+    rec.serialize_us = us_since(ser0);
     return out;
   }
 
@@ -738,7 +749,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
     }
     body += "]}";
     std::string out = ok_reply(req.id, body);
-    timing.serialize_us = us_since(ser0);
+    rec.serialize_us = us_since(ser0);
     return out;
   }
 
@@ -763,8 +774,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
         trim_trailing(telemetry::FlightRecorder::global().to_json(cap)));
   }
 
-  return error_reply(req.id, ErrorCode::kBadRequest, "unknown op \"" +
-                                                         op + "\"");
+  return fail(ErrorCode::kBadRequest, "unknown op \"" + op + "\"");
 }
 
 }  // namespace insta::serve

@@ -150,13 +150,16 @@ class Dispatcher {
                                      bool* shutdown = nullptr);
 
  private:
-  /// Server-side time accounting of the request being dispatched, merged
-  /// into the reply's server_us object.
-  struct ReplyTiming {
+  /// What dispatch() reports about the request being dispatched: the time
+  /// accounting merged into the reply's server_us object, and the outcome
+  /// its flight-recorder reply event carries.
+  struct ReplyRecord {
     std::int64_t queue_us = 0;
     std::int64_t batch_us = 0;
     std::int64_t eval_us = 0;
     std::int64_t serialize_us = 0;
+    ErrorCode error = ErrorCode::kNone;
+    std::uint64_t generation = 0;  ///< a what-if's evaluated version, else 0
   };
 
   /// The session a request addresses: its explicit one, or the
@@ -165,7 +168,7 @@ class Dispatcher {
   /// Routes one parsed request to its op handler; the reply lacks the
   /// server_us object, which dispatch() injects.
   [[nodiscard]] std::string dispatch_op(const Request& req, bool* shutdown,
-                                        ReplyTiming& timing);
+                                        ReplyRecord& rec);
 
   TimingService* service_;
   DispatcherOptions options_;

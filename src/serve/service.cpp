@@ -258,7 +258,6 @@ Error TimingService::whatif(
     }
     ++it->second.inflight;
   }
-  fr.record(FlightEventType::kAdmit, request_id, 0, detail);
   // The session's inflight slot is held from here on; every exit path must
   // release it.
   const auto release = [this, session] {
@@ -298,7 +297,6 @@ Error TimingService::whatif(
         const util::LockGuard sl(state_mu_);
         ++stats_.whatif_requests;
       }
-      fr.record(FlightEventType::kReply, request_id, out.version, 0);
       observe_latency();
       release();
       return Error::success();
@@ -358,9 +356,6 @@ Error TimingService::whatif(
   out.timing.batch_us = us(req.drained_ns, req.eval_begin_ns);
   out.timing.eval_us = us(req.eval_begin_ns, req.eval_end_ns);
   telemetry::Tracer::global().flow(request_id, 'f');
-  fr.record(FlightEventType::kReply, request_id, out.version,
-            req.error.ok() ? 0
-                           : static_cast<std::uint32_t>(req.error.code));
   if (req.error.ok() && !canon.empty()) {
     // Populate the cache at the version the batch actually evaluated
     // against (a commit may have landed between the probe and the drain).

@@ -58,7 +58,7 @@ ValidationResult validate_whatif_json(std::string_view text,
 ValidationResult validate_flightrec_json(std::string_view text,
                                          std::size_t* num_events = nullptr);
 
-/// Checks that `text` matches the `serve_client --load --out` report
+/// Checks that `text` matches the `insta_cli client --load --out` report
 /// schema: a top-level object with non-negative integral clients /
 /// requests_per_client / ok / shed / rejected / failed / commits counts,
 /// non-negative numeric wall_sec and qps, and a latency_ms object whose

@@ -6,16 +6,15 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "gen/tune.hpp"
 #include "ref/golden_sta.hpp"
 #include "replica/codec.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -994,51 +994,6 @@ TEST_F(ServeTest, CornerSelectionAndProtocolNegotiation) {
   }
 }
 
-/// Minimal blocking NDJSON client for the socket tests.
-class TestClient {
- public:
-  explicit TestClient(const std::string& path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  [[nodiscard]] bool connected() const { return connected_; }
-
-  std::string request(const std::string& line) {
-    const std::string framed = line + "\n";
-    EXPECT_EQ(::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(framed.size()));
-    return recv_line();
-  }
-
-  std::string recv_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
-
 std::string test_socket_path(const char* tag) {
   return "/tmp/insta_test_serve_" + std::to_string(::getpid()) + "_" + tag +
          ".sock";
@@ -1058,8 +1013,7 @@ TEST_F(ServeTest, SocketEndToEndMatchesInProcessExactly) {
   serve::Server server(service, sopt);
   server.start();
 
-  TestClient client(sopt.unix_path);
-  ASSERT_TRUE(client.connected());
+  serve::Client client(server.endpoint());
   const auto parse = [](const std::string& line) {
     telemetry::JsonValue doc;
     std::string error;
@@ -1162,22 +1116,60 @@ TEST_F(ServeTest, ServerShedsConnectionsBeyondTheCap) {
   serve::Server server(service, sopt);
   server.start();
 
-  TestClient first(sopt.unix_path);
-  ASSERT_TRUE(first.connected());
+  serve::Client first(server.endpoint());
   // A reply proves the first connection's handler thread is registered.
   telemetry::JsonValue doc;
   std::string error;
   ASSERT_TRUE(telemetry::json_parse(
       first.request(R"({"id": 1, "op": "ping"})"), doc, error));
 
-  TestClient second(sopt.unix_path);
-  ASSERT_TRUE(second.connected());
+  serve::Client second(server.endpoint());
   const std::string line = second.recv_line();
   ASSERT_TRUE(telemetry::json_parse(line, doc, error)) << line;
   EXPECT_FALSE(doc.find("ok")->boolean);
   EXPECT_EQ(doc.find("error")->find("code")->string, "overloaded");
 
   server.stop();
+}
+
+TEST(ServeClient, RejectsPortsOutsideOneTo65535NamingTheEndpoint) {
+  for (const std::string endpoint :
+       {"127.0.0.1:70000", "127.0.0.1:abc", "127.0.0.1:", "127.0.0.1:0",
+        "127.0.0.1:-1", "127.0.0.1"}) {
+    try {
+      serve::Client client(endpoint);
+      ADD_FAILURE() << endpoint << " was accepted";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(endpoint), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeClient, ThrowsOnAMissingSocketPath) {
+  EXPECT_THROW(serve::Client("unix:" + test_socket_path("absent")),
+               util::CheckError);
+}
+
+TEST_F(ServeTest, ClientThrowsWhenTheServerClosesBeforeReplying) {
+  auto engine = make_engine();
+  TimingService service(*engine);
+  serve::ServerOptions sopt;
+  sopt.unix_path = test_socket_path("closing");
+  serve::Server server(service, sopt);
+  server.start();
+
+  serve::Client client(server.endpoint());
+  // A reply proves the connection's handler thread is registered, so
+  // stop() shuts this connection down while the client awaits a reply.
+  ASSERT_TRUE(serve::reply_ok(
+      serve::parse_reply(client.request(R"({"id": 1, "op": "ping"})"))));
+  std::thread stopper([&server] { server.stop(); });
+  EXPECT_THROW((void)client.recv_line(), util::CheckError);
+  stopper.join();
+  // Sending to the closed peer throws instead of raising SIGPIPE.
+  EXPECT_THROW((void)client.request(R"({"id": 2, "op": "ping"})"),
+               util::CheckError);
 }
 
 // ---- observability: request ids, server_us, introspection ops --------------
@@ -1475,6 +1467,54 @@ TEST_F(ServeTest, ShedRepliesAreObservedInLatencyHistogramAndRecorder) {
     }
   }
   EXPECT_TRUE(shed_777);
+}
+
+/// Every wire request leaves exactly one admit and one reply event, from
+/// the dispatcher; the service adds only the what-if pipeline stages.
+TEST_F(ServeTest, DispatcherRecordsOneAdmitAndOneReplyPerRequest) {
+  auto engine = make_engine();
+  TimingService service(*engine);
+  serve::Dispatcher dispatcher(service);
+  util::Rng rng(61);
+  const auto scen = make_scenarios(rng, 1);
+  ASSERT_FALSE(scen.empty());
+  ASSERT_FALSE(scen[0].empty());
+  const ArcDelta& d = scen[0][0];
+
+  auto& fr = telemetry::FlightRecorder::global();
+  fr.clear();
+  const auto summary = parse_reply_line(
+      dispatcher.dispatch(R"({"id": 5001, "op": "summary"})"));
+  ASSERT_TRUE(summary.find("ok")->boolean);
+  const auto whatif = parse_reply_line(dispatcher.dispatch(
+      R"({"id": 5002, "op": "whatif", "scenarios": [{"deltas": [{"arc": )" +
+      std::to_string(d.arc) + R"(, "mu": [)" +
+      telemetry::json_number(d.mu[0]) + ", " +
+      telemetry::json_number(d.mu[1]) + "]}]}]}"));
+  ASSERT_TRUE(whatif.find("ok")->boolean);
+  const auto bad = parse_reply_line(dispatcher.dispatch(
+      R"({"id": 5003, "op": "endpoints", "ids": [-1]})"));
+  ASSERT_FALSE(bad.find("ok")->boolean);
+
+  std::map<std::uint64_t, std::map<telemetry::FlightEventType, int>> count;
+  std::map<std::uint64_t, std::uint32_t> reply_detail;
+  for (const telemetry::FlightEvent& ev : fr.recent()) {
+    ++count[ev.request_id][ev.type];
+    if (ev.type == telemetry::FlightEventType::kReply) {
+      reply_detail[ev.request_id] = ev.detail;
+    }
+  }
+  for (const std::uint64_t id : {5001u, 5002u, 5003u}) {
+    EXPECT_EQ(count[id][telemetry::FlightEventType::kAdmit], 1) << id;
+    EXPECT_EQ(count[id][telemetry::FlightEventType::kReply], 1) << id;
+  }
+  EXPECT_EQ(count[5001].size(), 2u);
+  EXPECT_EQ(count[5002][telemetry::FlightEventType::kEnqueue], 1);
+  EXPECT_EQ(count[5002][telemetry::FlightEventType::kEval], 1);
+  EXPECT_EQ(reply_detail[5001], 0u);
+  EXPECT_EQ(reply_detail[5002], 0u);
+  EXPECT_EQ(reply_detail[5003],
+            static_cast<std::uint32_t>(ErrorCode::kBadRequest));
 }
 
 TEST_F(ServeTest, EngineGenerationCountsForwardPasses) {
