@@ -822,19 +822,17 @@ int cmd_whatif(const Args& args) {
 
 /// Starts the timing-query server on a design and blocks until a client
 /// sends a shutdown op (or --max-seconds elapses). All knob sets that cross
-/// the CLI trust boundary (engine, service, server) go through their
-/// validate() gates so every bad flag is reported at once.
+/// the CLI trust boundary (engine, service, server, replicator) go through
+/// their validate() gates so every bad flag is reported at once, before
+/// anything is built.
 int cmd_serve(const Args& args) {
   util::check(args.has("in"), "serve: --in is required");
   // A crashing server should leave its last-N request lifecycle behind: dump
   // the flight recorder to stderr on fatal signals.
   telemetry::FlightRecorder::install_signal_dump();
-  const bool hold = args.has("hold");
-  World w(args.get("in", ""), hold);
-
   core::EngineOptions eopt;
   eopt.top_k = static_cast<int>(args.get_num("topk", 32));
-  eopt.enable_hold = hold;
+  eopt.enable_hold = args.has("hold");
   eopt.corners = parse_corner_flag(args, "serve");
 
   serve::ServiceOptions sopt;
@@ -848,10 +846,12 @@ int cmd_serve(const Args& args) {
   sopt.whatif_cache_entries =
       static_cast<int>(args.get_num("cache-entries", 256));
   sopt.delta_log_capacity = static_cast<int>(args.get_num("delta-log", 1024));
-  const std::string replica_of = args.get("replica-of", "");
+  replica::ReplicatorOptions ropt;
+  ropt.upstream = args.get("replica-of", "");
+  ropt.poll_ms = static_cast<int>(args.get_num("poll-ms", 50));
   // A replica serves reads only; every edit goes to the writer and arrives
   // here as a replicated commit delta.
-  sopt.read_only = !replica_of.empty();
+  sopt.read_only = !ropt.upstream.empty();
 
   serve::ServerOptions nopt;
   nopt.unix_path = args.get("socket", "");
@@ -863,20 +863,21 @@ int cmd_serve(const Args& args) {
   std::vector<std::string> problems = eopt.validate();
   for (const std::string& p : sopt.validate()) problems.push_back(p);
   for (const std::string& p : nopt.validate()) problems.push_back(p);
+  if (!ropt.upstream.empty()) {
+    for (const std::string& p : ropt.validate()) problems.push_back(p);
+  }
   for (const std::string& p : problems) {
     std::fprintf(stderr, "serve: %s\n", p.c_str());
   }
   util::check(problems.empty(), "serve: invalid options");
 
+  World w(args.get("in", ""), eopt.enable_hold);
   core::Engine engine(*w.sta, eopt);
   engine.run_forward();
   serve::TimingService service(engine, sopt);
 
   std::unique_ptr<replica::Replicator> replicator;
-  if (!replica_of.empty()) {
-    replica::ReplicatorOptions ropt;
-    ropt.upstream = replica_of;
-    ropt.poll_ms = static_cast<int>(args.get_num("poll-ms", 50));
+  if (!ropt.upstream.empty()) {
     replicator = std::make_unique<replica::Replicator>(service, ropt);
     // Converge before accepting clients. The writer may still be starting
     // (CI launches both at once), so retry the bootstrap for a while. The
@@ -905,7 +906,7 @@ int cmd_serve(const Args& args) {
     // attempts) from a slow first sync (one long attempt).
     std::printf("replicating from %s (generation %llu, bootstrap attempts "
                 "%d, %.1f ms)\n",
-                replica_of.c_str(),
+                ropt.upstream.c_str(),
                 static_cast<unsigned long long>(service.snapshot()->version),
                 attempts, bsw.elapsed_sec() * 1e3);
   }

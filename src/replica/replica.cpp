@@ -30,11 +30,20 @@ std::uint64_t require_u64(const JsonValue& obj, const char* key,
 
 }  // namespace
 
+std::vector<std::string> ReplicatorOptions::validate() const {
+  std::vector<std::string> problems;
+  if (std::string p = serve::endpoint_problem(upstream); !p.empty()) {
+    problems.push_back(std::move(p));
+  }
+  if (poll_ms < 1) problems.emplace_back("poll_ms must be >= 1");
+  return problems;
+}
+
 Replicator::Replicator(serve::TimingService& service,
                        ReplicatorOptions options)
     : service_(&service), options_(std::move(options)) {
-  check(!options_.upstream.empty(), "replicator: upstream endpoint required");
-  check(options_.poll_ms >= 1, "replicator: poll_ms must be >= 1");
+  serve::check_valid(options_.validate(),
+                     "Replicator: invalid ReplicatorOptions:");
 }
 
 Replicator::~Replicator() { stop(); }
@@ -130,16 +139,10 @@ void Replicator::stop() {
 void Replicator::run() {
   while (!stop_requested_.load()) {
     try {
-      if (client_ == nullptr) {
-        client_ = std::make_unique<serve::Client>(options_.upstream);
-      }
-      catch_up(*client_);
-      info_.connected.store(true);
+      bootstrap();
     } catch (const std::exception&) {
-      // Connection loss or a protocol hiccup: drop the connection and
-      // retry on the next tick (the upstream may be restarting).
-      client_.reset();
-      info_.connected.store(false);
+      // Connection loss or a protocol hiccup: bootstrap() dropped the
+      // connection; retry on the next tick (the upstream may be restarting).
     }
     util::UniqueLock lk(stop_mu_);
     stop_cv_.wait_for(lk, std::chrono::milliseconds(options_.poll_ms),

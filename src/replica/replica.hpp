@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "replica/replication_info.hpp"
 #include "serve/client.hpp"
@@ -38,6 +39,10 @@ namespace insta::replica {
 struct ReplicatorOptions {
   std::string upstream;  ///< unix:/path or host:port of the writer
   int poll_ms = 50;      ///< delta poll cadence
+
+  /// One message per invalid field; empty when usable. The upstream goes
+  /// through serve::endpoint_problem, the parser Client dials with.
+  [[nodiscard]] std::vector<std::string> validate() const;
 };
 
 class Replicator {

@@ -26,41 +26,56 @@ std::string errno_text() {
   return std::strerror(errno);  // NOLINT(concurrency-mt-unsafe)
 }
 
-/// The port of a host:port endpoint, whose last ':' sits at `colon`.
-std::uint16_t parse_port(const std::string& endpoint, std::size_t colon) {
-  const char* first = endpoint.data() + colon + 1;
+/// Resolves `endpoint` into a socket address without opening a socket;
+/// returns the problem, naming the endpoint, or "" when it is usable.
+std::string resolve_endpoint(const std::string& endpoint,
+                             sockaddr_storage& addr, socklen_t& len) {
+  if (endpoint.rfind("unix:", 0) == 0) {
+    const std::string path = endpoint.substr(5);
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    if (path.size() >= sizeof(un->sun_path)) {
+      return "unix path too long: " + path;
+    }
+    un->sun_family = AF_UNIX;
+    std::strncpy(un->sun_path, path.c_str(), sizeof(un->sun_path) - 1);
+    len = sizeof(sockaddr_un);
+    return "";
+  }
+  const std::size_t colon = endpoint.rfind(':');
+  if (colon == std::string::npos) {
+    return "endpoint must be unix:/path or host:port, got " + endpoint;
+  }
   const char* last = endpoint.data() + endpoint.size();
   int port = 0;
-  const auto [end, ec] = std::from_chars(first, last, port);
-  check(ec == std::errc() && end == last && port >= 1 && port <= 65535,
-        "endpoint " + endpoint + ": port must be an integer in [1, 65535]");
-  return static_cast<std::uint16_t>(port);
+  const auto [end, ec] =
+      std::from_chars(endpoint.data() + colon + 1, last, port);
+  if (ec != std::errc() || end != last || port < 1 || port > 65535) {
+    return "endpoint " + endpoint + ": port must be an integer in [1, 65535]";
+  }
+  const std::string host = endpoint.substr(0, colon);
+  auto* in = reinterpret_cast<sockaddr_in*>(&addr);
+  in->sin_family = AF_INET;
+  in->sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &in->sin_addr) != 1) {
+    return "endpoint " + endpoint + ": cannot parse host address " + host;
+  }
+  len = sizeof(sockaddr_in);
+  return "";
 }
 
 }  // namespace
 
+std::string endpoint_problem(const std::string& endpoint) {
+  sockaddr_storage addr{};
+  socklen_t len = 0;
+  return resolve_endpoint(endpoint, addr, len);
+}
+
 Client::Client(const std::string& endpoint) {
   sockaddr_storage addr{};
   socklen_t len = 0;
-  if (endpoint.rfind("unix:", 0) == 0) {
-    const std::string path = endpoint.substr(5);
-    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
-    check(path.size() < sizeof(un->sun_path), "unix path too long: " + path);
-    un->sun_family = AF_UNIX;
-    std::strncpy(un->sun_path, path.c_str(), sizeof(un->sun_path) - 1);
-    len = sizeof(sockaddr_un);
-  } else {
-    const std::size_t colon = endpoint.rfind(':');
-    check(colon != std::string::npos,
-          "endpoint must be unix:/path or host:port, got " + endpoint);
-    const std::string host = endpoint.substr(0, colon);
-    auto* in = reinterpret_cast<sockaddr_in*>(&addr);
-    in->sin_family = AF_INET;
-    in->sin_port = htons(parse_port(endpoint, colon));
-    check(::inet_pton(AF_INET, host.c_str(), &in->sin_addr) == 1,
-          "endpoint " + endpoint + ": cannot parse host address " + host);
-    len = sizeof(sockaddr_in);
-  }
+  const std::string problem = resolve_endpoint(endpoint, addr, len);
+  check(problem.empty(), problem);
   fd_ = ::socket(addr.ss_family, SOCK_STREAM, 0);
   check(fd_ >= 0, "socket: " + errno_text());
   if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), len) != 0) {

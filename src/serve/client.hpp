@@ -34,6 +34,10 @@ class Client {
   std::string buffer_;
 };
 
+/// The message Client's constructor would throw for a malformed `endpoint`,
+/// or "" when it is well-formed. Opens no socket.
+[[nodiscard]] std::string endpoint_problem(const std::string& endpoint);
+
 /// Parses a reply line; throws on malformed JSON (the server always sends
 /// well-formed replies, so this is a protocol fault, not user input).
 [[nodiscard]] telemetry::JsonValue parse_reply(const std::string& line);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "replica/codec.hpp"
+#include "serve/server.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
@@ -21,11 +22,12 @@ using timing::ArcDelta;
 
 namespace {
 
-/// Whole microseconds since `t0_ns`, a Tracer::now_ns() reading: the
-/// server_us breakdown shares the trace and flight-recorder clock.
-std::int64_t us_since(std::uint64_t t0_ns) {
-  return static_cast<std::int64_t>(
-      (telemetry::Tracer::now_ns() - t0_ns) / 1000);
+/// Whole microseconds from stamp `from_ns` to stamp `to_ns` of a
+/// RequestRecord; 0 when the request never reached `from_ns`'s stage.
+std::int64_t span_us(std::uint64_t from_ns, std::uint64_t to_ns) {
+  return from_ns != 0 && to_ns > from_ns
+             ? static_cast<std::int64_t>((to_ns - from_ns) / 1000)
+             : 0;
 }
 
 /// Small numeric op tag for the flight recorder's kAdmit detail word.
@@ -327,8 +329,8 @@ std::string stats_body(const ServiceStats& s) {
 
 // ---- dispatcher -------------------------------------------------------------
 
-Dispatcher::Dispatcher(TimingService& service, DispatcherOptions options)
-    : service_(&service), options_(options) {}
+Dispatcher::Dispatcher(TimingService& service, const ServerOptions* server)
+    : service_(&service), server_(server) {}
 
 Dispatcher::~Dispatcher() {
   // Close everything this connection opened; an in-flight request on the
@@ -355,7 +357,8 @@ bool Dispatcher::resolve_session(const Request& req, SessionId& out,
 }
 
 std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
-  const std::uint64_t t0 = telemetry::Tracer::now_ns();
+  RequestRecord rec;
+  rec.admit_ns = telemetry::Tracer::now_ns();
   Request req;
   LintReport report;
   const bool parsed = parse_request(line, req, report);
@@ -363,13 +366,13 @@ std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
   // is used verbatim, anything else (absent, 0, or an unparseable line) is
   // assigned a fresh server-generated id that the reply echoes.
   if (req.id == 0) req.id = static_cast<std::int64_t>(next_request_id());
+  rec.id = static_cast<std::uint64_t>(req.id);
   // The dispatcher records the one admit and the one reply of every wire
   // request; the service records only the what-if pipeline in between.
   auto& fr = telemetry::FlightRecorder::global();
-  const auto id = static_cast<std::uint64_t>(req.id);
-  fr.record(telemetry::FlightEventType::kAdmit, id, 0, op_tag(req.op));
+  fr.record(telemetry::FlightEventType::kAdmit, rec.admit_ns, rec.id, 0,
+            op_tag(req.op));
 
-  ReplyRecord rec;
   std::string reply;
   if (parsed) {
     reply = dispatch_op(req, shutdown, rec);
@@ -377,31 +380,45 @@ std::string Dispatcher::dispatch(std::string_view line, bool* shutdown) {
     rec.error = ErrorCode::kBadRequest;
     reply = error_reply(req.id, rec.error, "malformed request", &report);
   }
-  fr.record(telemetry::FlightEventType::kReply, id, rec.generation,
-            static_cast<std::uint32_t>(rec.error));
+  rec.reply_ns = telemetry::Tracer::now_ns();
 
-  // Inject the server_us breakdown as a top-level reply member (every
-  // reply builder ends its object with '}').
-  const std::int64_t total_us = us_since(t0);
-  std::string breakdown =
-      "\"queue\": " + std::to_string(rec.queue_us) +
-      ", \"batch\": " + std::to_string(rec.batch_us) +
-      ", \"eval\": " + std::to_string(rec.eval_us) +
-      ", \"serialize\": " + std::to_string(rec.serialize_us) +
+  // Everything below is derived from the record's stamps.
+  fr.record(telemetry::FlightEventType::kReply, rec.reply_ns, rec.id,
+            rec.generation, static_cast<std::uint32_t>(rec.error));
+  const std::int64_t total_us = span_us(rec.admit_ns, rec.reply_ns);
+  const std::string breakdown =
+      "\"queue\": " + std::to_string(span_us(rec.enqueue_ns, rec.drain_ns)) +
+      ", \"batch\": " +
+      std::to_string(span_us(rec.drain_ns, rec.eval_begin_ns)) +
+      ", \"eval\": " +
+      std::to_string(span_us(rec.eval_begin_ns, rec.eval_end_ns)) +
+      ", \"serialize\": " +
+      std::to_string(span_us(rec.serialize_ns, rec.reply_ns)) +
       ", \"total\": " + std::to_string(total_us);
-  reply.pop_back();
-  reply += ", \"server_us\": {" + breakdown + "}}";
-
-  if (options_.slow_us >= 0 && total_us >= options_.slow_us) {
+  if (req.op == "whatif") {
+    // Every what-if exit path is observed (served, cache hit, shed,
+    // rejected): a dashboard's p99 must see the requests the server turned
+    // away too. The serve layer's one registry metric; stats reads it.
+    static telemetry::Histogram latency_us =
+        telemetry::MetricsRegistry::global().histogram(
+            "serve.whatif_latency_us");
+    latency_us.observe(static_cast<double>(total_us));
+  }
+  if (server_ != nullptr && server_->slow_us >= 0 &&
+      total_us >= server_->slow_us) {
     util::log_warn("serve: slow request id=" + std::to_string(req.id) +
                    " op=" + (req.op.empty() ? "?" : req.op) + " server_us={" +
                    breakdown + "}");
   }
+  // Inject the breakdown as a top-level reply member (every reply builder
+  // ends its object with '}').
+  reply.pop_back();
+  reply += ", \"server_us\": {" + breakdown + "}}";
   return reply;
 }
 
 std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
-                                    ReplyRecord& rec) {
+                                    RequestRecord& rec) {
   const std::string& op = req.op;
   // Every error reply goes through here, so the reply event carries its code.
   const auto fail = [&](ErrorCode code, std::string_view message,
@@ -565,20 +582,17 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
       return fail(err.code, err.message);
     }
     TimingService::WhatifReply reply;
+    reply.record = &rec;
     // The resolved corner shapes only the reply view and the cache key; it
     // never changes what the evaluator computes.
     err = service_->whatif(sid, req.scenarios, reply,
-                           static_cast<std::uint64_t>(req.id),
                            ci >= 0 ? static_cast<core::CornerId>(ci)
                                    : core::kAllCorners);
-    rec.queue_us = reply.timing.queue_us;
-    rec.batch_us = reply.timing.batch_us;
-    rec.eval_us = reply.timing.eval_us;
     rec.generation = reply.version;
     if (!err.ok()) {
       return fail(err.code, err.message, &err.diagnostics);
     }
-    const std::uint64_t ser0 = telemetry::Tracer::now_ns();
+    rec.serialize_ns = telemetry::Tracer::now_ns();
     std::string body = "{\"version\": " + std::to_string(reply.version);
     if (ci >= 0) {
       body += ", \"corner\": \"" +
@@ -624,9 +638,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
       body += "}";
     }
     body += "]}";
-    std::string out = ok_reply(req.id, body);
-    rec.serialize_us = us_since(ser0);
-    return out;
+    return ok_reply(req.id, body);
   }
 
   if (op == "begin_edit" || op == "annotate" || op == "commit" ||
@@ -668,8 +680,8 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
 
   if (op == "stats") {
     // stats_body plus the live fields a polling dashboard (insta_cli top)
-    // needs: instantaneous queue depth / session count and the what-if
-    // latency distribution.
+    // needs: instantaneous queue depth / session count and the distribution
+    // of what-if server_us.total (observed by dispatch()).
     std::string body = stats_body(service_->stats());
     body.pop_back();
     body += ", \"queue_depth\": " + std::to_string(service_->queue_depth()) +
@@ -722,19 +734,17 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
   if (op == "sync") {
     // Full-state bootstrap: the complete timing state at one committed
     // generation, as one base64-wrapped binary frame.
-    const std::uint64_t ser0 = telemetry::Tracer::now_ns();
+    rec.serialize_ns = telemetry::Tracer::now_ns();
     const core::EngineState st = service_->export_state();
     const std::string frame = replica::encode_snapshot(st);
     std::string body = "{\"generation\": " + std::to_string(st.generation) +
                        ", \"snapshot\": \"" + replica::base64_encode(frame) +
                        "\"}";
-    std::string out = ok_reply(req.id, body);
-    rec.serialize_us = us_since(ser0);
-    return out;
+    return ok_reply(req.id, body);
   }
 
   if (op == "delta_stream") {
-    const std::uint64_t ser0 = telemetry::Tracer::now_ns();
+    rec.serialize_ns = telemetry::Tracer::now_ns();
     std::vector<replica::CommitRecord> recs;
     const bool in_window = service_->delta_log().since(req.from, recs);
     std::string body =
@@ -748,9 +758,7 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
               "\"";
     }
     body += "]}";
-    std::string out = ok_reply(req.id, body);
-    rec.serialize_us = us_since(ser0);
-    return out;
+    return ok_reply(req.id, body);
   }
 
   if (op == "trace") {

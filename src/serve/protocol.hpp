@@ -46,6 +46,9 @@
 // server-side wall time down as {"queue", "batch", "eval", "serialize",
 // "total"} microseconds (the first three are nonzero only for whatif, whose
 // batching pipeline they describe; the parts never sum to more than total).
+// Its parts are differences of the request's RequestRecord stamps, the ones
+// its flight events carry; stats "latency_us" is server_us.total over every
+// whatif request, served or not.
 //
 // Every parse/shape failure is reported as structured analysis::Diagnostic
 // entries with stable rule ids ("req-json", "req-shape", "whatif-json",
@@ -125,13 +128,7 @@ bool parse_scenarios_json(const telemetry::JsonValue& doc,
 /// Serializes ServiceStats as a flat JSON object.
 [[nodiscard]] std::string stats_body(const ServiceStats& s);
 
-/// Per-connection dispatcher knobs (from ServerOptions / CLI flags).
-struct DispatcherOptions {
-  /// Requests whose end-to-end dispatch exceeds this many microseconds are
-  /// logged as warnings with their server_us breakdown. 0 logs every
-  /// request; negative disables the slow-request log.
-  std::int64_t slow_us = -1;
-};
+struct ServerOptions;
 
 /// One connection's protocol state machine. dispatch() turns a request
 /// line into exactly one reply line (no trailing newline). Sessions the
@@ -139,39 +136,32 @@ struct DispatcherOptions {
 /// destroyed, so a dropped connection cannot leak the edit slot.
 class Dispatcher {
  public:
-  explicit Dispatcher(TimingService& service, DispatcherOptions options = {});
+  /// `server` supplies ServerOptions::slow_us and must outlive the
+  /// dispatcher; null (in-process use) logs no slow requests.
+  explicit Dispatcher(TimingService& service,
+                      const ServerOptions* server = nullptr);
   ~Dispatcher();
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
   /// Handles one request line. Sets *shutdown to true when the line was a
-  /// shutdown op (the reply must still be delivered before closing).
+  /// shutdown op (the reply must still be delivered before closing). The
+  /// RequestRecord yields server_us, the admit/reply flight events, the
+  /// slow-request line and, for every what-if, one latency observation.
   [[nodiscard]] std::string dispatch(std::string_view line,
                                      bool* shutdown = nullptr);
 
  private:
-  /// What dispatch() reports about the request being dispatched: the time
-  /// accounting merged into the reply's server_us object, and the outcome
-  /// its flight-recorder reply event carries.
-  struct ReplyRecord {
-    std::int64_t queue_us = 0;
-    std::int64_t batch_us = 0;
-    std::int64_t eval_us = 0;
-    std::int64_t serialize_us = 0;
-    ErrorCode error = ErrorCode::kNone;
-    std::uint64_t generation = 0;  ///< a what-if's evaluated version, else 0
-  };
-
   /// The session a request addresses: its explicit one, or the
   /// connection's implicit session (opened on first use).
   bool resolve_session(const Request& req, SessionId& out, Error& err);
-  /// Routes one parsed request to its op handler; the reply lacks the
-  /// server_us object, which dispatch() injects.
+  /// Routes one parsed request to its op handler, which stamps `rec`; the
+  /// reply lacks the server_us object, which dispatch() injects.
   [[nodiscard]] std::string dispatch_op(const Request& req, bool* shutdown,
-                                        ReplyRecord& rec);
+                                        RequestRecord& rec);
 
   TimingService* service_;
-  DispatcherOptions options_;
+  const ServerOptions* server_;
   std::vector<SessionId> owned_;
   SessionId implicit_ = -1;
 };

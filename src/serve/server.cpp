@@ -62,16 +62,7 @@ std::vector<std::string> ServerOptions::validate() const {
 
 Server::Server(TimingService& service, ServerOptions options)
     : service_(&service), options_(std::move(options)) {
-  if (const std::vector<std::string> problems = options_.validate();
-      !problems.empty()) {
-    std::string msg = "Server: invalid ServerOptions:";
-    for (const std::string& p : problems) {
-      msg += ' ';
-      msg += p;
-      msg += ';';
-    }
-    check(false, msg);
-  }
+  check_valid(options_.validate(), "Server: invalid ServerOptions:");
 }
 
 Server::~Server() { stop(); }
@@ -160,8 +151,7 @@ void Server::accept_loop() {
 }
 
 void Server::handle_connection(int fd) {
-  Dispatcher dispatcher(*service_,
-                        DispatcherOptions{.slow_us = options_.slow_us});
+  Dispatcher dispatcher(*service_, &options_);
   std::string buffer;
   char chunk[4096];
   bool shutdown_op = false;

@@ -28,8 +28,8 @@ struct ServerOptions {
   int port = 0;
   /// Concurrent-connection cap; excess connections are shed.
   int max_connections = 32;
-  /// Slow-request log threshold in microseconds (DispatcherOptions::slow_us
-  /// of every connection): 0 logs every request, negative disables.
+  /// Slow-request log threshold in microseconds, read by every
+  /// connection's Dispatcher: 0 logs every request, negative disables.
   std::int64_t slow_us = -1;
 
   [[nodiscard]] std::vector<std::string> validate() const;

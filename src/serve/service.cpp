@@ -9,7 +9,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace insta::serve {
 
@@ -34,6 +33,14 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kInternal: return "internal";
   }
   return "unknown";
+}
+
+void check_valid(const std::vector<std::string>& problems,
+                 std::string_view what) {
+  if (problems.empty()) return;
+  std::string msg(what);
+  for (const std::string& p : problems) msg += " " + p + ";";
+  check(false, msg);
 }
 
 std::vector<std::string> ServiceOptions::validate() const {
@@ -71,16 +78,7 @@ TimingService::TimingService(core::Engine& engine, ServiceOptions options)
                         ? 0
                         : static_cast<std::size_t>(
                               options.whatif_cache_entries)) {
-  if (const std::vector<std::string> problems = options_.validate();
-      !problems.empty()) {
-    std::string msg = "TimingService: invalid ServiceOptions:";
-    for (const std::string& p : problems) {
-      msg += ' ';
-      msg += p;
-      msg += ';';
-    }
-    check(false, msg);
-  }
+  check_valid(options_.validate(), "TimingService: invalid ServiceOptions:");
   check(engine.timing_clean(),
         "TimingService: engine has pending annotations (run run_forward() "
         "before constructing the service)");
@@ -217,40 +215,28 @@ Error TimingService::validate_scenarios(
 
 Error TimingService::whatif(
     SessionId session, const std::vector<std::vector<ArcDelta>>& scenarios,
-    WhatifReply& out, std::uint64_t request_id, core::CornerId corner) {
+    WhatifReply& out, core::CornerId corner) {
   auto& fr = telemetry::FlightRecorder::global();
-  if (request_id == 0) request_id = next_request_id();
-  out.request_id = request_id;
+  RequestRecord own;
+  RequestRecord& rec = out.record != nullptr ? *out.record : own;
+  if (rec.id == 0) rec.id = next_request_id();
   const auto detail = static_cast<std::uint32_t>(scenarios.size());
   INSTA_TRACE_SCOPE("serve.whatif",
                     static_cast<std::int64_t>(scenarios.size()));
-  // Every exit path — shed, rejected, failed, served — observes the latency
-  // histogram: a dashboard reading p99 must see the requests the server
-  // turned away, not just the ones it liked. It is the serve layer's one
-  // registry metric (the stats verb reads it); every other request fact
-  // lives in ServiceStats.
-  static telemetry::Histogram latency_us =
-      telemetry::MetricsRegistry::global().histogram("serve.whatif_latency_us");
-  util::Stopwatch sw;
-  const auto observe_latency = [&sw] {
-    latency_us.observe(sw.elapsed_sec() * 1e6);
-  };
   if (scenarios.empty()) {
-    observe_latency();
     return Error::make(ErrorCode::kBadRequest, "whatif: empty scenario list");
   }
   {
     const util::LockGuard sl(state_mu_);
     const auto it = sessions_.find(session);
     if (it == sessions_.end()) {
-      observe_latency();
       return Error::make(ErrorCode::kBadSession,
                          "unknown session " + std::to_string(session));
     }
     if (it->second.inflight >= options_.max_inflight_per_session) {
       ++stats_.shed;
-      fr.record(FlightEventType::kShed, request_id, 0, detail);
-      observe_latency();
+      fr.record(FlightEventType::kShed, telemetry::Tracer::now_ns(), rec.id,
+                0, detail);
       return Error::make(
           ErrorCode::kOverloaded,
           "session " + std::to_string(session) + " already has " +
@@ -267,7 +253,6 @@ Error TimingService::whatif(
 
   if (Error err = validate_scenarios(scenarios); !err.ok()) {
     release();
-    observe_latency();
     return err;
   }
 
@@ -292,19 +277,17 @@ Error TimingService::whatif(
     if (all_hit) {
       out.version = cache_version;
       out.results = std::move(cached);
-      out.timing = WhatifTiming{};
       {
         const util::LockGuard sl(state_mu_);
         ++stats_.whatif_requests;
       }
-      observe_latency();
       release();
       return Error::success();
     }
   }
 
   PendingWhatif req;
-  req.request_id = request_id;
+  req.record = &rec;
   req.scenarios = &scenarios;
   req.reply = &out;
   {
@@ -313,8 +296,8 @@ Error TimingService::whatif(
         static_cast<std::size_t>(options_.max_queue)) {
       ql.unlock();
       release();
-      fr.record(FlightEventType::kShed, request_id, 0, detail);
-      observe_latency();
+      fr.record(FlightEventType::kShed, telemetry::Tracer::now_ns(), rec.id,
+                0, detail);
       const util::LockGuard sl(state_mu_);
       ++stats_.shed;
       return Error::make(ErrorCode::kOverloaded,
@@ -325,9 +308,9 @@ Error TimingService::whatif(
     // Recorded before the queue push so the leader's kBatch event for this
     // request can never precede its kEnqueue in ticket order; the 's' flow
     // point parent-links the batch spans back to this request thread.
-    req.enqueue_ns = telemetry::Tracer::now_ns();
-    fr.record(FlightEventType::kEnqueue, request_id, 0, detail);
-    telemetry::Tracer::global().flow(request_id, 's');
+    rec.enqueue_ns = telemetry::Tracer::now_ns();
+    fr.record(FlightEventType::kEnqueue, rec.enqueue_ns, rec.id, 0, detail);
+    telemetry::Tracer::global().flow(rec.id, 's');
     queue_.push_back(&req);
     queued_scenarios_ += scenarios.size();
     if (!collecting_) {
@@ -349,13 +332,7 @@ Error TimingService::whatif(
     util::UniqueLock ql(queue_mu_);
     done_cv_.wait(ql, [&req] { return req.done; });
   }
-  const auto us = [](std::uint64_t a, std::uint64_t b) {
-    return b > a ? static_cast<std::int64_t>((b - a) / 1000) : 0;
-  };
-  out.timing.queue_us = us(req.enqueue_ns, req.drained_ns);
-  out.timing.batch_us = us(req.drained_ns, req.eval_begin_ns);
-  out.timing.eval_us = us(req.eval_begin_ns, req.eval_end_ns);
-  telemetry::Tracer::global().flow(request_id, 'f');
+  telemetry::Tracer::global().flow(rec.id, 'f');
   if (req.error.ok() && !canon.empty()) {
     // Populate the cache at the version the batch actually evaluated
     // against (a commit may have landed between the probe and the drain).
@@ -364,7 +341,6 @@ Error TimingService::whatif(
                            out.results[i]);
     }
   }
-  observe_latency();
   release();
   return req.error;
 }
@@ -401,9 +377,9 @@ void TimingService::run_batch_leader() {
   auto& fr = telemetry::FlightRecorder::global();
   const auto occupancy = static_cast<std::uint32_t>(reqs.size());
   for (PendingWhatif* r : reqs) {
-    r->drained_ns = drained;
-    tracer.flow(r->request_id, 't');
-    fr.record(FlightEventType::kBatch, r->request_id, 0, occupancy);
+    r->record->drain_ns = drained;
+    tracer.flow(r->record->id, 't');
+    fr.record(FlightEventType::kBatch, drained, r->record->id, 0, occupancy);
   }
 
   evaluate_requests(reqs);
@@ -436,7 +412,7 @@ void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
   const util::SharedLock el(engine_mu_);
   const std::uint64_t version = engine_->generation();
   const std::uint64_t eval_begin = telemetry::Tracer::now_ns();
-  for (PendingWhatif* r : reqs) r->eval_begin_ns = eval_begin;
+  for (PendingWhatif* r : reqs) r->record->eval_begin_ns = eval_begin;
   const auto chunk_cap = static_cast<std::size_t>(options_.max_batch);
   std::uint64_t num_batches = 0;
   std::uint64_t max_occupancy = 0;
@@ -449,7 +425,7 @@ void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
     flow_ids.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) {
       spans.push_back((*items[i].req->scenarios)[items[i].index]);
-      flow_ids.push_back(items[i].req->request_id);
+      flow_ids.push_back(items[i].req->record->id);
     }
     try {
       std::vector<core::ScenarioResult> results =
@@ -474,9 +450,9 @@ void TimingService::evaluate_requests(std::vector<PendingWhatif*>& reqs) {
   const std::uint64_t eval_end = telemetry::Tracer::now_ns();
   auto& fr = telemetry::FlightRecorder::global();
   for (PendingWhatif* r : reqs) {
-    r->eval_end_ns = eval_end;
+    r->record->eval_end_ns = eval_end;
     r->reply->version = version;
-    fr.record(FlightEventType::kEval, r->request_id, version,
+    fr.record(FlightEventType::kEval, eval_end, r->record->id, version,
               static_cast<std::uint32_t>(r->scenarios->size()));
   }
 

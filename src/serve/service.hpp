@@ -37,6 +37,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -78,6 +79,24 @@ enum class ErrorCode : std::uint8_t {
 /// flow events even when the client does not care about ids.
 [[nodiscard]] std::uint64_t next_request_id();
 
+/// One wire request's lifecycle. The Dispatcher owns it; each instant is
+/// read from telemetry::Tracer::now_ns() once, and that instant's flight
+/// event carries the same stamp. server_us, the latency observation, the
+/// slow-request line and the reply event are derived from it. A stamp of 0
+/// marks a stage the request never reached.
+struct RequestRecord {
+  std::uint64_t id = 0;
+  std::uint64_t admit_ns = 0;       ///< dispatch began, before parsing
+  std::uint64_t enqueue_ns = 0;     ///< queued for micro-batching
+  std::uint64_t drain_ns = 0;       ///< drained by its batch leader
+  std::uint64_t eval_begin_ns = 0;  ///< its batch's evaluation began
+  std::uint64_t eval_end_ns = 0;    ///< its batch's evaluation ended
+  std::uint64_t serialize_ns = 0;   ///< reply serialization began
+  std::uint64_t reply_ns = 0;       ///< reply complete
+  ErrorCode error = ErrorCode::kNone;
+  std::uint64_t generation = 0;  ///< a what-if's evaluated version, else 0
+};
+
 /// Structured failure report of one service call. Success is code kNone;
 /// everything else carries a message and, for validation failures, the
 /// per-delta diagnostics (rule ids "delta-arc-range", ...).
@@ -96,6 +115,11 @@ struct Error {
     return e;
   }
 };
+
+/// Throws util::CheckError naming every problem an options struct's
+/// validate() reported ("<what> p1; p2;"): the constructors' shared gate.
+void check_valid(const std::vector<std::string>& problems,
+                 std::string_view what);
 
 /// Service tuning knobs. Everything here is a trust boundary (CLI flags),
 /// so validate() reports every bad field at once, mirroring
@@ -160,8 +184,7 @@ struct TimingSnapshot {
   std::vector<float> hold_slack_by_corner;
 };
 
-/// Deterministic service counters, independent of the telemetry build
-/// (the serve.* metrics mirror these when telemetry is compiled in).
+/// Deterministic service counters (the stats verb reports them).
 struct ServiceStats {
   std::uint64_t sessions_opened = 0;
   std::uint64_t whatif_requests = 0;   ///< admitted requests
@@ -205,18 +228,11 @@ class TimingService {
 
   // ---- batched speculative what-ifs -----------------------------------------
 
-  /// Server-side latency breakdown of one what-if request, measured on the
-  /// service's own steady clock (filled regardless of the telemetry build).
-  struct WhatifTiming {
-    std::int64_t queue_us = 0;  ///< enqueue until the leader drained it
-    std::int64_t batch_us = 0;  ///< drained until its evaluation began
-    std::int64_t eval_us = 0;   ///< inside ScenarioBatch::evaluate
-  };
-
   struct WhatifReply {
-    std::uint64_t request_id = 0;  ///< id the batch machinery traced this as
+    /// The request's record, which the pipeline stamps (and gives an id
+    /// when its id is 0); null when the caller needs neither.
+    RequestRecord* record = nullptr;
     std::uint64_t version = 0;  ///< snapshot version the batch ran against
-    WhatifTiming timing;
     std::vector<core::ScenarioResult> results;  ///< parallel to scenarios
   };
 
@@ -226,18 +242,13 @@ class TimingService {
   /// bit-identical to sequentially annotating the engine and re-propagating
   /// (ScenarioBatch's structural guarantee).
   ///
-  /// `request_id` labels the request in the flight recorder and trace flow
-  /// events; 0 allocates one internally (the effective id comes back in
-  /// out.request_id either way).
-  ///
   /// `corner` is the request's resolved corner selector and participates
   /// only in the what-if cache key (evaluation always covers every corner;
   /// per-corner extraction is the protocol layer's job). kAllCorners (-1)
   /// is the merged/no-selector identity.
   Error whatif(SessionId session,
                const std::vector<std::vector<timing::ArcDelta>>& scenarios,
-               WhatifReply& out, std::uint64_t request_id = 0,
-               core::CornerId corner = core::kAllCorners);
+               WhatifReply& out, core::CornerId corner = core::kAllCorners);
 
   // ---- exclusive edits ------------------------------------------------------
 
@@ -326,16 +337,9 @@ class TimingService {
     const std::vector<std::vector<timing::ArcDelta>>* scenarios = nullptr;
     WhatifReply* reply = nullptr;
     Error error;
-    /// Trace/flight-recorder identity of this request (always nonzero once
-    /// queued) and its lifecycle timestamps on Tracer::now_ns(). The
-    /// *_ns fields after enqueue_ns are written by the leader before it
-    /// marks the request done under queue_mu_, so the owning waiter reads
-    /// them ordered by the same release/acquire as `done`.
-    std::uint64_t request_id = 0;
-    std::uint64_t enqueue_ns = 0;
-    std::uint64_t drained_ns = 0;
-    std::uint64_t eval_begin_ns = 0;
-    std::uint64_t eval_end_ns = 0;
+    /// The leader stamps drain and eval before it marks the request done
+    /// under queue_mu_, so the waiter reads them ordered by `done`.
+    RequestRecord* record = nullptr;
     /// Guarded by the service's queue_mu_ (a nested struct cannot name the
     /// outer class's member in an annotation): written by the leader under
     /// queue_mu_, read by the waiter's done_cv_ predicate under queue_mu_.

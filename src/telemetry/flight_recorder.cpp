@@ -9,7 +9,6 @@
 
 #include "analysis/lock_hierarchy.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/trace.hpp"
 
 namespace insta::telemetry {
 
@@ -66,8 +65,9 @@ FlightRecorder& FlightRecorder::global() {
   return recorder;
 }
 
-void FlightRecorder::record(FlightEventType type, std::uint64_t request_id,
-                            std::uint64_t generation, std::uint32_t detail) {
+void FlightRecorder::record(FlightEventType type, std::uint64_t ts_ns,
+                            std::uint64_t request_id, std::uint64_t generation,
+                            std::uint32_t detail) {
   const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_acq_rel);
   Slot& s = slots_[ticket % kCapacity];
   // Seqlock write: odd (keyed to the ticket) marks the slot claimed and
@@ -95,7 +95,7 @@ void FlightRecorder::record(FlightEventType type, std::uint64_t request_id,
   // Orders the claim before the payload stores for readers that fence
   // after copying (read_slot).
   std::atomic_thread_fence(std::memory_order_release);
-  s.ts_ns.store(Tracer::now_ns(), std::memory_order_relaxed);
+  s.ts_ns.store(ts_ns, std::memory_order_relaxed);
   s.request_id.store(request_id, std::memory_order_relaxed);
   s.generation.store(generation, std::memory_order_relaxed);
   s.detail_type.store((static_cast<std::uint64_t>(detail) << 8U) |

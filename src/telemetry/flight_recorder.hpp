@@ -59,12 +59,14 @@ class FlightRecorder {
   /// Process-wide recorder used by the serve layer and the dump hooks.
   static FlightRecorder& global();
 
-  /// Records one event; safe from any thread. Wait-free unless the slot's
-  /// previous writer stalled mid-write for a full ring rotation (this call
-  /// then waits for it); a writer that a newer ticket lapped drops its
+  /// Records one event stamped `ts_ns`, a Tracer::now_ns() reading the
+  /// caller took and keeps. Safe from any thread. Wait-free unless the
+  /// slot's previous writer stalled mid-write for a full ring rotation (this
+  /// call then waits for it); a writer that a newer ticket lapped drops its
   /// event rather than overwrite the newer one.
-  void record(FlightEventType type, std::uint64_t request_id,
-              std::uint64_t generation = 0, std::uint32_t detail = 0);
+  void record(FlightEventType type, std::uint64_t ts_ns,
+              std::uint64_t request_id, std::uint64_t generation = 0,
+              std::uint32_t detail = 0);
 
   /// Events ever recorded (including overwritten ones).
   [[nodiscard]] std::uint64_t total() const {

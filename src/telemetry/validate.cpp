@@ -386,9 +386,9 @@ ValidationResult validate_flightrec_json(std::string_view text,
       continue;
     }
     // No monotonicity check on ts_us: events are in ticket (claim) order,
-    // and a writer preempted between claiming its ticket and sampling the
-    // clock legitimately publishes a slightly later timestamp than its
-    // successor.
+    // and each writer stamps its event before it claims a ticket (the serve
+    // layer's admit stamp even precedes parsing), so a later ticket may
+    // legitimately carry an earlier timestamp.
     const JsonValue* ts = e.find("ts_us");
     if (ts == nullptr || !ts->is_number() || ts->number < 0.0) {
       res.fail(where + ": missing or negative ts_us");

@@ -31,6 +31,7 @@
 #include "replica/delta_log.hpp"
 #include "replica/replica.hpp"
 #include "replica/whatif_cache.hpp"
+#include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "timing/delay_calc.hpp"
@@ -634,6 +635,39 @@ TEST(EngineState, MergedSummaryCacheSurvivesRollbackAndImportCollision) {
 std::string repl_socket_path(const char* tag) {
   return "/tmp/insta_test_replica_" + std::to_string(::getpid()) + "_" + tag +
          ".sock";
+}
+
+TEST(ReplicatorOptions, ValidateRejectsAnUndialableUpstreamAndPollMsBelowOne) {
+  replica::ReplicatorOptions good;
+  for (const std::string upstream :
+       {"127.0.0.1:7000", "unix:/tmp/writer.sock"}) {
+    good.upstream = upstream;
+    EXPECT_TRUE(good.validate().empty()) << upstream;
+  }
+  // serve::Client's own parser decides, so each problem is the message its
+  // constructor would throw, naming the endpoint.
+  for (const std::string upstream :
+       {"127.0.0.1:70000", "127.0.0.1:abc", "127.0.0.1", "localhost:7000"}) {
+    replica::ReplicatorOptions bad;
+    bad.upstream = upstream;
+    const std::vector<std::string> problems = bad.validate();
+    ASSERT_EQ(problems.size(), 1u) << upstream;
+    EXPECT_EQ(problems[0], serve::endpoint_problem(upstream));
+    EXPECT_NE(problems[0].find(upstream), std::string::npos) << problems[0];
+  }
+  replica::ReplicatorOptions both;
+  both.poll_ms = 0;
+  EXPECT_EQ(both.validate().size(), 2u);
+
+  // The constructor rejects them before any connection is attempted.
+  Fixture f(41);
+  auto engine = f.make_engine(corner_set(1));
+  serve::TimingService service(*engine);
+  replica::ReplicatorOptions bad;
+  bad.upstream = "127.0.0.1:70000";
+  EXPECT_THROW(replica::Replicator(service, bad), util::CheckError);
+  good.poll_ms = 0;
+  EXPECT_THROW(replica::Replicator(service, good), util::CheckError);
 }
 
 TEST(ServiceReplication, ApplyCommitReproducesWriterBytesAndChecksChaining) {

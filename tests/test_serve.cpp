@@ -1182,6 +1182,26 @@ telemetry::JsonValue parse_reply_line(const std::string& line) {
   return doc;
 }
 
+/// A wire what-if request line carrying `scen` (delta means only);
+/// `members` is spliced in after the id.
+std::string whatif_line(std::int64_t id,
+                        const std::vector<std::vector<ArcDelta>>& scen,
+                        const std::string& members = "") {
+  std::string line = "{\"id\": " + std::to_string(id) + members +
+                     ", \"op\": \"whatif\", \"scenarios\": [";
+  for (std::size_t i = 0; i < scen.size(); ++i) {
+    line += i == 0 ? "{\"deltas\": [" : ", {\"deltas\": [";
+    for (std::size_t j = 0; j < scen[i].size(); ++j) {
+      if (j != 0) line += ", ";
+      line += "{\"arc\": " + std::to_string(scen[i][j].arc) + ", \"mu\": [" +
+              telemetry::json_number(scen[i][j].mu[0]) + ", " +
+              telemetry::json_number(scen[i][j].mu[1]) + "]}";
+    }
+    line += "]}";
+  }
+  return line + "]}";
+}
+
 /// Asserts the reply carries a server_us breakdown whose parts are
 /// non-negative and never sum to more than the total.
 void expect_server_us(const telemetry::JsonValue& doc) {
@@ -1322,7 +1342,9 @@ TEST_F(ServeTest, StatsOpReportsQueueDepthSessionsAndLatency) {
 TEST_F(ServeTest, SlowRequestLogFiresAtThresholdZero) {
   auto engine = make_engine();
   TimingService service(*engine);
-  serve::Dispatcher dispatcher(service, serve::DispatcherOptions{.slow_us = 0});
+  serve::ServerOptions server_options;
+  server_options.slow_us = 0;
+  serve::Dispatcher dispatcher(service, &server_options);
 
   auto capture = std::make_shared<util::CaptureLogSink>();
   std::shared_ptr<util::LogSink> previous = util::set_log_sink(capture);
@@ -1371,23 +1393,26 @@ TEST_F(ServeTest, BatchLeaderTraceLinksMultipleRequestIds) {
   ASSERT_TRUE(service.open_session(a).ok());
   ASSERT_TRUE(service.open_session(b).ok());
   serve::Error first_err;
+  serve::RequestRecord first_record{.id = 101};
   TimingService::WhatifReply first_reply;
+  first_reply.record = &first_record;
   std::thread first([&] {
-    first_err = service.whatif(a, scen, first_reply, /*request_id=*/101);
+    first_err = service.whatif(a, scen, first_reply);
   });
   for (int spin = 0; spin < 2000; ++spin) {
     if (service.stats().whatif_requests >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(service.stats().whatif_requests, 1u);
+  serve::RequestRecord second_record{.id = 102};
   TimingService::WhatifReply second_reply;
-  const serve::Error second_err =
-      service.whatif(b, scen, second_reply, /*request_id=*/102);
+  second_reply.record = &second_record;
+  const serve::Error second_err = service.whatif(b, scen, second_reply);
   first.join();
   ASSERT_TRUE(first_err.ok()) << first_err.message;
   ASSERT_TRUE(second_err.ok()) << second_err.message;
-  EXPECT_EQ(first_reply.request_id, 101u);
-  EXPECT_EQ(second_reply.request_id, 102u);
+  EXPECT_EQ(first_reply.record->id, 101u);
+  EXPECT_EQ(second_reply.record->id, 102u);
   // Both were served by one ScenarioBatch evaluation.
   EXPECT_EQ(service.stats().batches, 1u);
 
@@ -1431,7 +1456,8 @@ TEST_F(ServeTest, BatchLeaderTraceLinksMultipleRequestIds) {
 }
 
 /// The shed-accounting fix: rejected replies still count into the
-/// serve.whatif_latency_us histogram and leave a shed flight event.
+/// serve.whatif_latency_us histogram and leave a shed flight event. The
+/// histogram is observed by the Dispatcher, so the request goes over it.
 TEST_F(ServeTest, ShedRepliesAreObservedInLatencyHistogramAndRecorder) {
   auto engine = make_engine();
   serve::ServiceOptions opt;
@@ -1440,6 +1466,7 @@ TEST_F(ServeTest, ShedRepliesAreObservedInLatencyHistogramAndRecorder) {
   TimingService service(*engine, opt);
   serve::SessionId sid = -1;
   ASSERT_TRUE(service.open_session(sid).ok());
+  serve::Dispatcher dispatcher(service);
 
   const auto latency_count = [] {
     const telemetry::MetricsSnapshot snap =
@@ -1454,9 +1481,11 @@ TEST_F(ServeTest, ShedRepliesAreObservedInLatencyHistogramAndRecorder) {
   util::Rng rng(53);
   const auto scen = make_scenarios(rng, 3);
   ASSERT_EQ(scen.size(), 3u);
-  TimingService::WhatifReply reply;
-  ASSERT_EQ(service.whatif(sid, scen, reply, /*request_id=*/777).code,
-            ErrorCode::kOverloaded);
+  const auto reply = parse_reply_line(dispatcher.dispatch(whatif_line(
+      777, scen, ", \"session\": " + std::to_string(sid))));
+  ASSERT_FALSE(reply.find("ok")->boolean);
+  ASSERT_EQ(reply.find("error")->find("code")->string,
+            serve::error_code_name(ErrorCode::kOverloaded));
 
   EXPECT_EQ(latency_count(), count_before + 1);
   bool shed_777 = false;
@@ -1467,6 +1496,103 @@ TEST_F(ServeTest, ShedRepliesAreObservedInLatencyHistogramAndRecorder) {
     }
   }
   EXPECT_TRUE(shed_777);
+}
+
+/// stats latency_us is the distribution of what-if server_us.total: one
+/// observation per what-if wire request whatever its outcome, none for
+/// any other op.
+TEST_F(ServeTest, StatsLatencyCountsEveryWhatifWireRequestOnce) {
+  auto engine = make_engine();
+  serve::ServiceOptions opt;
+  opt.max_queue = 2;
+  opt.max_batch = 2;
+  TimingService service(*engine, opt);
+  serve::Dispatcher dispatcher(service);
+  const auto latency_count = [&dispatcher] {
+    const auto doc = parse_reply_line(
+        dispatcher.dispatch(R"({"op": "stats"})"));
+    return doc.find("result")->find("latency_us")->find("count")->number;
+  };
+  const auto error_code = [](const telemetry::JsonValue& doc) {
+    const telemetry::JsonValue* err = doc.find("error");
+    return err == nullptr ? std::string("ok") : err->find("code")->string;
+  };
+  util::Rng rng(71);
+  const auto scen = make_scenarios(rng, 3);
+  ASSERT_EQ(scen.size(), 3u);
+  std::vector<ArcDelta> bad = scen[0];
+  bad[0].arc = static_cast<timing::ArcId>(graph_->num_arcs() + 5);
+
+  double count = latency_count();
+  const auto expect_observed = [&](const std::string& line,
+                                   const std::string& code, double rise) {
+    const auto doc = parse_reply_line(dispatcher.dispatch(line));
+    EXPECT_EQ(error_code(doc), code) << line;
+    const double now = latency_count();
+    EXPECT_EQ(now, count + rise) << line;
+    count = now;
+  };
+  expect_observed(whatif_line(8001, {scen[0]}), "ok", 1);  // served
+  expect_observed(whatif_line(8002, {scen[0]}), "ok", 1);  // cache hit
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+  expect_observed(whatif_line(8003, scen), "overloaded", 1);   // shed
+  expect_observed(whatif_line(8004, {bad}), "bad-request", 1);  // rejected
+  expect_observed(R"({"id": 8005, "op": "summary"})", "ok", 0);
+}
+
+/// Each lifecycle instant is read from the clock once: the reply's
+/// server_us is computed from the very stamps its flight events carry.
+TEST_F(ServeTest, ServerUsIsDerivedFromTheFlightEventStamps) {
+  auto engine = make_engine();
+  serve::ServiceOptions opt;
+  opt.whatif_cache_entries = 0;  // every what-if crosses the batcher
+  TimingService service(*engine, opt);
+  serve::Dispatcher dispatcher(service);
+  util::Rng rng(67);
+  const auto scen = make_scenarios(rng, 1);
+  ASSERT_EQ(scen.size(), 1u);
+
+  auto& fr = telemetry::FlightRecorder::global();
+  fr.clear();
+  // Several rounds: a second clock read per instant drifts by a fraction
+  // of a microsecond, which a single request could hide by rounding.
+  constexpr std::int64_t kRounds = 16;
+  std::map<std::uint64_t, telemetry::JsonValue> server_us;
+  for (std::int64_t i = 0; i < kRounds; ++i) {
+    const std::int64_t id = 9000 + 2 * i;  // even: what-if, odd: summary
+    const std::string summary =
+        R"({"id": )" + std::to_string(id + 1) + R"(, "op": "summary"})";
+    for (const std::string& line : {whatif_line(id, scen), summary}) {
+      const auto doc = parse_reply_line(dispatcher.dispatch(line));
+      ASSERT_TRUE(doc.find("ok")->boolean) << line;
+      server_us[static_cast<std::uint64_t>(doc.find("id")->number)] =
+          *doc.find("server_us");
+    }
+  }
+
+  using telemetry::FlightEventType;
+  std::map<std::uint64_t, std::map<FlightEventType, std::uint64_t>> ts;
+  for (const telemetry::FlightEvent& ev : fr.recent()) {
+    ts[ev.request_id][ev.type] = ev.ts_ns;
+  }
+  const auto us = [](std::uint64_t from, std::uint64_t to) {
+    return static_cast<double>((to - from) / 1000);
+  };
+  for (const auto& [id, su] : server_us) {
+    std::map<FlightEventType, std::uint64_t>& t = ts[id];
+    ASSERT_EQ(t.count(FlightEventType::kAdmit), 1u) << id;
+    ASSERT_EQ(t.count(FlightEventType::kReply), 1u) << id;
+    EXPECT_EQ(su.find("total")->number,
+              us(t[FlightEventType::kAdmit], t[FlightEventType::kReply]))
+        << id;
+    if (id % 2 == 0) {
+      ASSERT_EQ(t.count(FlightEventType::kEnqueue), 1u) << id;
+      ASSERT_EQ(t.count(FlightEventType::kBatch), 1u) << id;
+      EXPECT_EQ(su.find("queue")->number,
+                us(t[FlightEventType::kEnqueue], t[FlightEventType::kBatch]))
+          << id;
+    }
+  }
 }
 
 /// Every wire request leaves exactly one admit and one reply event, from

@@ -240,9 +240,9 @@ TEST(FlightRecorder, RecordRecentAndJsonRoundTrip) {
   EXPECT_EQ(fr.total(), 0u);
   EXPECT_TRUE(fr.recent().empty());
 
-  fr.record(telemetry::FlightEventType::kAdmit, 11, 0, 3);
-  fr.record(telemetry::FlightEventType::kEnqueue, 11, 0, 2);
-  fr.record(telemetry::FlightEventType::kReply, 11, 5, 0);
+  fr.record(telemetry::FlightEventType::kAdmit, 1000, 11, 0, 3);
+  fr.record(telemetry::FlightEventType::kEnqueue, 2000, 11, 0, 2);
+  fr.record(telemetry::FlightEventType::kReply, 3000, 11, 5, 0);
   EXPECT_EQ(fr.total(), 3u);
 
   const std::vector<telemetry::FlightEvent> events = fr.recent();
@@ -253,6 +253,9 @@ TEST(FlightRecorder, RecordRecentAndJsonRoundTrip) {
   EXPECT_EQ(events[2].type, telemetry::FlightEventType::kReply);
   EXPECT_EQ(events[2].generation, 5u);
   EXPECT_LE(events[0].ts_ns, events[2].ts_ns);
+  // The caller's timestamp is recorded verbatim.
+  EXPECT_EQ(events[0].ts_ns, 1000u);
+  EXPECT_EQ(events[2].ts_ns, 3000u);
 
   // recent(max) keeps the newest events.
   const std::vector<telemetry::FlightEvent> last = fr.recent(1);
@@ -276,7 +279,8 @@ TEST(FlightRecorder, RingWrapsKeepingTheNewestEvents) {
   const std::size_t cap = telemetry::FlightRecorder::kCapacity;
   const std::size_t total = cap + 100;
   for (std::size_t i = 0; i < total; ++i) {
-    fr.record(telemetry::FlightEventType::kAdmit, i);
+    fr.record(telemetry::FlightEventType::kAdmit, telemetry::Tracer::now_ns(),
+              i);
   }
   EXPECT_EQ(fr.total(), total);
   const std::vector<telemetry::FlightEvent> events = fr.recent();
@@ -299,6 +303,7 @@ TEST(FlightRecorder, ConcurrentWritersNeverTearReads) {
         // detail encodes the writer so torn slots would show impossible
         // (id, detail) pairs below.
         fr.record(telemetry::FlightEventType::kEval,
+                  telemetry::Tracer::now_ns(),
                   static_cast<std::uint64_t>(t) * kPerThread + i, 0,
                   static_cast<std::uint32_t>(t));
       }
